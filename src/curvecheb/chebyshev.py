@@ -6,12 +6,21 @@ terms free.  T_n values are the n-th roots of the minimal sup norms over a
 SampledSet, n being the degree of the leading term in the coordinate ring;
 constants are estimated from sequences of such solves.
 
-The minimax subproblem min_c max_i |f_i + (G c)_i| is solved by Lawson
-iteration: a weighted least squares step followed by the multiplicative
-weight update w <- w * |r|^gamma, with gamma damped from 1 to 0.5 when the
-max modulus increases.  The weighted L2 value of each iterate is a valid
-lower bound for the discrete minimax, which gives a two-sided stopping
-criterion.
+The minimax subproblem min_c max_i |f_i + (G c)_i| is the second-order
+cone program: minimise t subject to |f_i + (G c)_i| <= t, one 3-dimensional
+cone per sample point.  It is solved by a primal-dual interior-point method
+with Mehrotra predictor-corrector steps and Nesterov-Todd scaling.  The
+first iteration is the uniform-weight least squares step, which is also the
+starting point; each further iteration factors the scaled design by a QR
+taken over the sample points in chunks.  f is divided by its sup norm
+before the solve, so the iterates do not depend on the scale of f.
+SolverOptions.max_iter caps the number of iterations, the least squares
+step included.
+
+Every iterate's max modulus is an upper bound.  The certificate is a lower
+bound: the weighted least squares value with the dual weights z_i0 (summing
+to 1), taken once the method's own duality gap is below tol * t.  A solve
+is converged when norm <= lb * (1 + tol), and gap = norm - lb.
 """
 
 from __future__ import annotations
@@ -31,10 +40,6 @@ from .polyring import (
     normal_form,
     pow_mod,
 )
-
-LOT_FULL = "full"
-LOT_S = "basisS"
-LOT_C = "basisC"
 
 
 class ClassSpecError(ValueError):
@@ -69,8 +74,6 @@ class MQ:
     def __post_init__(self):
         _require_homogeneous(self.q, "Q")
 
-    lot_mode = LOT_FULL
-
     def describe(self):
         return f"M({self.q.short()})"
 
@@ -86,8 +89,6 @@ class MRQ:
         _require_homogeneous(self.r, "R")
         _require_homogeneous(self.q, "Q")
 
-    lot_mode = LOT_FULL
-
     def describe(self):
         return f"M_{self.r.short()}({self.q.short()})"
 
@@ -102,8 +103,6 @@ class Zk:
         if self.k < 0:
             raise ClassSpecError("k must be >= 0")
 
-    lot_mode = LOT_S
-
     def describe(self):
         return f"Z({self.k})"
 
@@ -114,8 +113,6 @@ class Mz1jVk:
 
     j: int
     k: int
-
-    lot_mode = LOT_FULL
 
     def describe(self):
         return f"M_z1^{self.j}(v{self.k})"
@@ -128,14 +125,16 @@ class TildeMl:
     l: int
     j: int
 
-    lot_mode = LOT_C
-
     def describe(self):
         return f"Mt_z1^{self.l}(v{self.j})"
 
 
 @dataclass
 class SolverOptions:
+    """max_iter caps the interior-point iterations of a solve, the least
+    squares start included; tol is the relative certified gap a converged
+    solve must reach; ridge regularizes numerically singular designs."""
+
     max_iter: int = 500
     tol: float = 1e-8
     ridge: float = 1e-12
@@ -282,22 +281,257 @@ def basis_values(curve, elements, K):
 
 
 # ---------------------------------------------------------------------------
-# Lawson minimax
+# Interior-point minimax
 # ---------------------------------------------------------------------------
+#
+# A vector of the product of N second-order cones {u0 >= |u1|}, one cone per
+# sample point, is held as a real array u0 and a complex array u1.  The
+# primal slack is s = (t, f + G c), the dual variable z = (z0, zeta).
 
-def _wls_solve(A, b, ridge):
-    """Least squares via QR with a ridge fallback on rank deficiency."""
-    if A.shape[1] == 0:
-        return np.zeros(0, dtype=complex), False
-    Q, R = np.linalg.qr(A)
-    diag = np.abs(np.diag(R))
-    if diag.size and np.min(diag) > 1e-14 * np.max(diag):
-        c = np.linalg.solve(R, Q.conj().T @ b)
-        return c, False
-    G = A.conj().T @ A
-    tau = ridge * max(np.max(np.abs(np.diag(G))), 1e-300)
-    c = np.linalg.solve(G + tau * np.eye(A.shape[1]), A.conj().T @ b)
-    return c, True
+EPS = np.finfo(float).eps
+T0 = 1.5                # starting t over the least squares max modulus
+CHUNK_POINTS = 128      # sample points per block of design rows fed to a QR
+STEP = 0.99             # fraction of the step to the cone boundary taken
+SINGULAR_RATIO = 1e-14  # min/max |R_jj| below which R counts as singular
+
+
+def _dot(u0, u1, v0, v1):
+    """Inner product of two cone vectors."""
+    return float(np.sum(u0 * v0) + np.sum((u1.conj() * v1).real))
+
+
+def _jnorm(u0, u1):
+    """sqrt(u0^2 - |u1|^2) per point, factored to avoid cancellation."""
+    a = np.abs(u1)
+    return np.sqrt((u0 - a) * (u0 + a))
+
+
+class _NTScaling:
+    """Nesterov-Todd scaling W of an interior pair (s, z).
+
+    W is symmetric and maps the cone onto itself, and W z = W^-1 s = lam.
+    Per point W = beta * [[w0, w1^T], [w1, I + w1 w1^T / (1 + w0)]] with
+    w0^2 - |w1|^2 = 1 (Vandenberghe, The CVXOPT linear and quadratic cone
+    program solvers, 2010, section 4).
+    """
+
+    def __init__(self, s0, s1, z0, z1):
+        sn, zn = _jnorm(s0, s1), _jnorm(z0, z1)
+        gamma = np.sqrt(0.5 * (1.0 + (s0 * z0 + (s1.conj() * z1).real) / (sn * zn)))
+        self.w0 = (s0 / sn + z0 / zn) / (2.0 * gamma)
+        self.w1 = (s1 / sn - z1 / zn) / (2.0 * gamma)
+        self.beta = np.sqrt(sn / zn)
+        self.lam = self.apply(z0, z1)
+        self.lam_jnorm2 = sn * zn
+
+    def apply(self, u0, u1):
+        d = (self.w1.conj() * u1).real
+        return (self.beta * (self.w0 * u0 + d),
+                self.beta * (u1 + (u0 + d / (1.0 + self.w0)) * self.w1))
+
+    def inverse(self, u0, u1):
+        d = (self.w1.conj() * u1).real
+        return ((self.w0 * u0 - d) / self.beta,
+                (u1 + (d / (1.0 + self.w0) - u0) * self.w1) / self.beta)
+
+
+def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
+    """Largest a with lam + a d inside every cone (inf if unbounded).
+
+    Per point the boundary is the first positive root of
+    lam_jnorm2 + 2 b a + q a^2, with b = lam^T J d and q = d^T J d.
+    """
+    q = d0 * d0 - np.abs(d1) ** 2
+    b = lam0 * d0 - (lam1.conj() * d1).real
+    disc = b * b - q * lam_jnorm2
+    hits = (disc >= 0.0) & ((b < 0.0) | (q < 0.0))
+    steps = lam_jnorm2[hits] / (np.sqrt(disc[hits]) - b[hits])
+    return float(np.min(steps, initial=np.inf))
+
+
+def _r_factor(blocks, ncols):
+    """R factor of the row blocks stacked on each other, one block at a time.
+
+    Only R and the current block are held, never the whole design.  With
+    fewer rows than columns R is padded with zero rows to a square.
+    """
+    R = np.zeros((0, ncols))
+    for B in blocks:
+        R = np.linalg.qr(np.vstack([R, B]), mode="r")
+    if len(R) < ncols:
+        R = np.vstack([R, np.zeros((ncols - len(R), ncols))])
+    return R
+
+
+def _regularized(R, k, ridge):
+    """R, or the R factor of [R; sqrt(tau) [I_k 0]] when its leading
+    k-by-k triangle is numerically singular; tau is ridge times the largest
+    squared column norm.  The flag says whether the ridge was applied."""
+    diag = np.abs(np.diag(R)[:k])
+    if k == 0 or np.min(diag) > SINGULAR_RATIO * np.max(diag):
+        return R, False
+    tau = ridge * max(float(np.max(np.sum(R[:, :k] ** 2, axis=0))), 1e-300)
+    pad = np.zeros((k, R.shape[1]))
+    pad[:, :k] = np.sqrt(tau) * np.eye(k)
+    return _r_factor([R, pad], R.shape[1]), True
+
+
+def _chunks(npts):
+    return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, npts, CHUNK_POINTS))
+
+
+def _wls_blocks(G, f, sw):
+    """Real rows of sqrt(w) * [G f], columns (Re c, Im c, f)."""
+    m = G.shape[1]
+    for sl in _chunks(len(f)):
+        g = G[sl] * sw[sl, None]
+        fw = f[sl] * sw[sl]
+        P = len(fw)
+        B = np.empty((2 * P, 2 * m + 1))
+        B[:P, :m], B[:P, m:2 * m], B[:P, -1] = g.real, -g.imag, fw.real
+        B[P:, :m], B[P:, m:2 * m], B[P:, -1] = g.imag, g.real, fw.imag
+        yield B
+
+
+def _wls(G, f, w, ridge):
+    """Weighted least squares: argmin_c sum_i w_i |f_i + (G c)_i|^2.
+
+    Returns (c, lb, ridge_used), where lb is the weighted residual norm and,
+    as sum w = 1, a lower bound of the discrete minimax.  It is read off the
+    R factor of [G f] (its last diagonal entry), which stays accurate when
+    |f| is far above the residual.  When G is numerically rank deficient, c
+    is the ridge solution and lb its residual norm: rounding noise in the
+    dependent columns would otherwise count as a direction of the family.
+    """
+    m = G.shape[1]
+    R = _r_factor(_wls_blocks(G, f, np.sqrt(w)), 2 * m + 1)
+    Rc, used = _regularized(R[:-1], 2 * m, ridge)
+    x = -np.linalg.solve(Rc[:2 * m, :2 * m], Rc[:2 * m, -1]) if m else np.zeros(0)
+    c = x[:m] + 1j * x[m:]
+    if used:
+        lb = float(np.sqrt(np.sum(w * np.abs(f + G @ c) ** 2)))
+    else:
+        lb = abs(float(R[-1, -1]))
+    return c, lb, used
+
+
+def _scaled_design_blocks(G, W):
+    """Real rows of W^-1 A, where A (t, c) = (t, G c) per point."""
+    m = G.shape[1]
+    for sl in _chunks(len(G)):
+        ib = 1.0 / W.beta[sl]
+        w1 = W.w1[sl]
+        k = (w1 / (1.0 + W.w0[sl]))[:, None]
+        g = G[sl] * ib[:, None]
+        h = g * w1.conj()[:, None]        # w1^T applied to the columns, over beta
+        P = len(ib)
+        B = np.empty((3 * P, 2 * m + 1))
+        B[:P, 0], B[P:2 * P, 0], B[2 * P:, 0] = W.w0[sl] * ib, -w1.real * ib, -w1.imag * ib
+        B[:P, 1:m + 1], B[:P, m + 1:] = -h.real, h.imag
+        B[P:2 * P, 1:m + 1] = g.real + h.real * k.real
+        B[P:2 * P, m + 1:] = -g.imag - h.imag * k.real
+        B[2 * P:, 1:m + 1] = g.imag + h.real * k.imag
+        B[2 * P:, m + 1:] = g.real - h.imag * k.imag
+        yield B
+
+
+def _minimax(G, f, opts):
+    """Discrete complex minimax min_c max_i |f_i + (G c)_i| with max |f| = 1.
+
+    Returns (c, norm, lb, iterations, converged, ridge_used): the best
+    coefficients found, their max modulus, a certified lower bound of the
+    minimum, and the solve's bookkeeping.
+    """
+    npts, m = G.shape
+    n = 2 * m + 1
+    tol = opts.tol
+
+    def gh(v):
+        return (v.conj() @ G).conj()    # G^H v without a conjugate copy of G
+
+    # iteration 1: uniform-weight least squares, also the starting point
+    c, lb, ridge_used = _wls(G, f, np.full(npts, 1.0 / npts), opts.ridge)
+    best_c, best_ub = np.zeros(m, dtype=complex), float(np.max(np.abs(f)))
+    r = f + G @ c
+    t = float(np.max(np.abs(r)))
+    if t < best_ub:
+        best_c, best_ub = c, t
+    iterations = 1
+    converged = best_ub <= lb * (1.0 + tol)
+    t *= T0
+    z0, z1 = np.full(npts, 1.0 / npts), np.zeros(npts, dtype=complex)
+
+    while not converged and iterations < opts.max_iter:
+        # stop where rounding takes over: s or z on the boundary, or, as
+        # max |f| = 1, an upper bound t at the level of f's rounding error
+        if not (t > EPS and np.min(t - np.abs(r)) > 0.0 and np.min(z0 - np.abs(z1)) > 0.0):
+            break
+        iterations += 1
+        W = _NTScaling(np.full(npts, t), r, z0, z1)
+        lam0, lam1 = W.lam
+        R, used = _regularized(_r_factor(_scaled_design_blocks(G, W), n), n, opts.ridge)
+        ridge_used = ridge_used or used
+        res_t, res_c = float(np.sum(z0)) - 1.0, gh(z1)      # A^T z - e_t
+
+        def newton(u0, u1):
+            """Steps (dt, dc, G dc) and the scaled steps W^-1 ds and W dz
+            with W dz + W^-1 ds = u and A^T dz = -(A^T z - e_t)."""
+            v0, v1 = W.inverse(u0, u1)
+            rc = gh(v1) + res_c
+            rhs = np.concatenate([[np.sum(v0) + res_t], rc.real, rc.imag])
+            dx = np.linalg.solve(R, np.linalg.solve(R.T, rhs))
+            dc = dx[1:m + 1] + 1j * dx[m + 1:]
+            gdc = G @ dc
+            ds0, ds1 = W.inverse(np.full(npts, dx[0]), gdc)
+            return dx[0], dc, gdc, (ds0, ds1), (u0 - ds0, u1 - ds1)
+
+        def step_to_boundary(ds, dz):
+            return min(_max_step(lam0, lam1, W.lam_jnorm2, *ds),
+                       _max_step(lam0, lam1, W.lam_jnorm2, *dz))
+
+        # predictor (affine scaling): lam o (W dz + W^-1 ds) = -lam o lam
+        _, _, _, (as0, as1), (az0, az1) = newton(-lam0, -lam1)
+        alpha = min(1.0, step_to_boundary((as0, as1), (az0, az1)))
+        mu = _dot(lam0, lam1, lam0, lam1) / npts
+        rho = _dot(lam0 + alpha * as0, lam1 + alpha * as1,
+                   lam0 + alpha * az0, lam1 + alpha * az1) / (mu * npts)
+        target = min(max(rho, 0.0), 1.0) ** 3 * mu
+
+        # corrector: lam o u = -lam o lam - (W^-1 ds_a) o (W dz_a) + target e
+        e0 = (target - lam0 * lam0 - np.abs(lam1) ** 2
+              - as0 * az0 - (as1.conj() * az1).real)
+        e1 = -2.0 * lam0 * lam1 - as0 * az1 - az0 * as1
+        u0 = (lam0 * e0 - (lam1.conj() * e1).real) / W.lam_jnorm2
+        u1 = (e1 - u0 * lam1) / lam0
+        dt, dc, gdc, ds, dz = newton(u0, u1)
+        alpha = min(1.0, STEP * step_to_boundary(ds, dz))
+        if not alpha > 0.0:
+            break
+
+        # the slack moves by its own step, not as f + G c recomputed, which
+        # would cancel to well below the accuracy of f when |f| >> norm
+        t += alpha * dt
+        c = c + alpha * dc
+        r = r + alpha * gdc
+        dz0, dz1 = W.inverse(*dz)
+        z0, z1 = z0 + alpha * dz0, z1 + alpha * dz1
+        ub = float(np.max(np.abs(f + G @ c)))
+        if ub < best_ub:
+            best_c, best_ub = c, ub
+        gap = t * float(np.sum(z0)) + float(np.sum((r.conj() * z1).real))   # s^T z
+        stalled = False
+        if gap <= tol * t:
+            cw, lbw, used = _wls(G, f, z0 / np.sum(z0), opts.ridge)
+            ridge_used = ridge_used or used
+            ubw = float(np.max(np.abs(f + G @ cw)))
+            if ubw < best_ub:
+                best_c, best_ub = cw, ubw
+            stalled = lbw <= lb
+            lb = max(lb, lbw)
+        converged = best_ub <= lb * (1.0 + tol)
+        if stalled:
+            break           # rounding, not the method, now limits the bound
+    return best_c, best_ub, lb, iterations, converged, ridge_used
 
 
 def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
@@ -327,43 +561,13 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
         scales = np.max(np.abs(G), axis=0)
         scales[scales == 0] = 1.0
         G = G / scales
+    fmax = float(np.max(np.abs(f)))
+    fscale = fmax if fmax > 0.0 else 1.0
 
-    w = np.full(npts, 1.0 / npts)
-    gamma = 1.0
-    best_ub = float(np.max(np.abs(f)))  # c = 0 candidate
-    best_c = np.zeros(m, dtype=complex)
-    lb = 0.0
-    prev_ub = np.inf
-    ridge_used = False
-    iterations = 0
-    converged = False
-
-    for it in range(1, opts.max_iter + 1):
-        iterations = it
-        sw = np.sqrt(w)
-        c, used = _wls_solve(G * sw[:, None], -f * sw, opts.ridge)
-        ridge_used = ridge_used or used
-        r = f + (G @ c if m else 0.0)
-        absr = np.abs(r)
-        ub = float(np.max(absr))
-        lb = max(lb, float(np.sqrt(np.sum(w * absr ** 2))))
-        if ub < best_ub:
-            best_ub = ub
-            best_c = c
-        if best_ub <= lb * (1.0 + opts.tol) or best_ub == 0.0:
-            converged = True
-            break
-        if ub > prev_ub * (1.0 + 1e-12):
-            gamma = 0.5  # damp on oscillation
-        prev_ub = ub
-        w = w * absr ** gamma
-        total = np.sum(w)
-        if total <= 0.0 or not np.isfinite(total):
-            converged = best_ub <= lb * (1.0 + opts.tol)
-            break
-        w /= total
-
-    coeffs = best_c * (1.0 / scales) if m else best_c
+    c, best_ub, lb, iterations, converged, ridge_used = _minimax(G, f / fscale, opts)
+    best_ub *= fscale
+    lb *= fscale
+    coeffs = c * (fscale / scales)
     minimizer = leading
     for cval, el in zip(coeffs, free_basis):
         if cval != 0:
@@ -402,8 +606,12 @@ def chebyshev_solve(curve, spec, K, n, opts=None):
 
 
 def chebyshev_sequence(curve, spec, K, n_range, opts=None):
-    """One solve per class parameter; failed parameters are skipped with a
-    warning so the rest of a sweep survives."""
+    """One solve per class parameter.
+
+    A parameter whose class cannot be set up is skipped with a warning so
+    the rest of a sweep survives; a numerical failure (LinAlgError) is
+    raised, since it says nothing about the class.
+    """
     n_range = list(n_range)
     if not n_range:
         raise ValueError("empty parameter range")
@@ -413,6 +621,8 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
     for n in n_range:
         try:
             out.append(chebyshev_solve(curve, spec, K, n, opts))
+        except np.linalg.LinAlgError:
+            raise
         except (ClassSpecError, ValueError) as exc:
             warnings.warn(f"solve at n={n} failed: {exc}")
     if not out:

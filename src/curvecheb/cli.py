@@ -475,6 +475,9 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(cfg, out, args.tolerance_scale)
         raise ConfigError(f"unknown command {args.command!r}")
+    except np.linalg.LinAlgError as exc:   # a ValueError, but not invalid input
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
     except (ConfigError, CurveError, SamplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

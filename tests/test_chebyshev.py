@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecheb import BivarPoly, Z1Disk, sample, sup_norm
+from curvecheb import chebyshev
 from curvecheb.polyring import BASIS_S, basis_through_degree, pow_mod
 from curvecheb.sets import PointCloud
 from curvecheb.chebyshev import (
@@ -127,6 +130,20 @@ class TestMinimaxSolve:
             assert smaller.total_degree == bigger.total_degree
             assert bigger.norm - bigger.gap <= smaller.norm * (1 + 1e-9)
 
+    def test_rank_deficient_design_uses_ridge(self, hyp):
+        # z2 and z1*z2 are proportional on these three points, so the free
+        # columns are linearly dependent on K
+        K = sample(hyp, PointCloud(points=((1 + 0j, 0j), (-1 + 0j, 0j),
+                                           (np.sqrt(2) + 0j, 1 + 0j))))
+        free = [b for b in basis_through_degree(hyp, BASIS_S, 2)
+                if b.label in ("z1^0*z2^0", "z1^0*z2^1", "z1^1*z2^1")]
+        s = minimax_solve(BivarPoly.monomial(3, 0), free, K, curve=hyp)
+        assert s.ridge_used
+        assert np.isfinite(s.norm)
+        # z1^3 is 1 and -1 at the first two points, where only the
+        # constant can move it
+        assert s.norm == pytest.approx(1.0, rel=1e-6)
+
     def test_log_norm_subadditive(self, hyp, disk07_set):
         solves = {n: chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), disk07_set, n)
                   for n in range(1, 9)}
@@ -158,6 +175,67 @@ class TestScalingLaws:
             ss = chebyshev_solve(hyp, MRQ(Z1 + Z2, Z1), interval_set, n, opts)
             bound = 2.0 ** (1.0 / ss.total_degree) * max(sa.tn, sb.tn)
             assert ss.tn <= bound * (1 + 1e-6)
+
+
+def _random_problem(seed, npts, m):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=npts) + 1j * rng.normal(size=npts)
+    G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
+    return f, G
+
+
+@pytest.fixture(scope="module")
+def cloud12(hyp):
+    """Twelve points of the hyperbola and a free basis longer than needed;
+    the property tests pass their own (f, G) and use these for the shapes."""
+    x = np.linspace(-2.0, 2.0, 12)
+    K = sample(hyp, PointCloud(points=tuple((np.sqrt(1 + t * t) + 0j, t + 0j) for t in x)))
+    return K, basis_through_degree(hyp, BASIS_S, 3)
+
+
+def _solve_fg(cloud, f, G, opts=None):
+    K, basis = cloud
+    return minimax_solve(BivarPoly.monomial(4, 0), basis[:G.shape[1]], K, opts,
+                         leading_values=f, basis_matrix=G)
+
+
+problems = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+
+
+class TestMinimaxProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(problems)
+    def test_bounds_bracket_the_minimum(self, cloud12, problem):
+        seed, m = problem
+        f, G = _random_problem(seed, 12, m)
+        s = _solve_fg(cloud12, f, G)
+        lb = s.norm - s.gap
+        assert 0.0 <= lb <= s.norm <= np.max(np.abs(f)) * (1 + 1e-12)
+        assert np.max(np.abs(f + G @ s.coeffs)) == pytest.approx(s.norm, rel=1e-12)
+        # lb bounds the max modulus of every member of the family
+        rng = np.random.default_rng(seed + 1)
+        for _ in range(5):
+            c = s.coeffs + 0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            assert np.max(np.abs(f + G @ c)) >= lb * (1 - 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems, st.sampled_from([1e-4, 1e-8, 1e-10]))
+    def test_converged_means_certified(self, cloud12, problem, tol):
+        seed, m = problem
+        f, G = _random_problem(seed, 12, m)
+        s = _solve_fg(cloud12, f, G, SolverOptions(tol=tol))
+        assert s.converged
+        assert s.gap <= tol * s.norm
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems, st.floats(1e-3, 1e3), st.floats(0.0, 2 * np.pi))
+    def test_norm_scales_with_f(self, cloud12, problem, modulus, phase):
+        seed, m = problem
+        f, G = _random_problem(seed, 12, m)
+        alpha = modulus * np.exp(1j * phase)
+        a = _solve_fg(cloud12, f, G)
+        b = _solve_fg(cloud12, alpha * f, G)
+        assert b.norm == pytest.approx(abs(alpha) * a.norm, rel=1e-9)
 
 
 class TestSequencesAndEstimates:
@@ -199,6 +277,26 @@ class TestSequencesAndEstimates:
                                  range(1, 17), opts)
         est = constant_estimate(seq)
         assert abs(est.estimate - 0.5) < 0.05
+
+    def test_numerical_failure_is_raised(self, hyp, torus_set, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(chebyshev, "minimax_solve", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            chebyshev_sequence(hyp, MQ(hyp.dirbasis[0]), torus_set, range(1, 4))
+
+    def test_criterion_4_cubic_solves_converge(self, cubic7):
+        # the solves behind the cubic part of acceptance criterion 4
+        K = sample(cubic7, Z1Disk(1.2, resolution=1024))
+        opts = SolverOptions(max_iter=300)
+        seqs = [chebyshev_sequence(cubic7, MQ(v), K, range(1, 7), opts)
+                for v in cubic7.dirbasis]
+        seqs += [chebyshev_sequence(cubic7, Zk(k), K, range(1, 13 - k), opts)
+                 for k in range(3)]
+        solves = [s for seq in seqs for s in seq]
+        assert len(solves) == 51
+        assert all(s.converged and s.gap <= opts.tol * s.norm for s in solves)
 
     def test_tail_mean_for_ordered_classes(self, hyp, torus_set):
         seq = chebyshev_sequence(hyp, Zk(0), torus_set, range(1, 13))

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from curvecheb import chebyshev
 from curvecheb.cli import main
 
 
@@ -96,6 +98,21 @@ class TestCheb:
     def test_empty_range_invalid(self, capsys, torus_config):
         assert main(["cheb", "--config", torus_config, "--class", "mv:1",
                      "--n-min", "5", "--n-max", "4"]) == 2
+
+    @pytest.mark.parametrize("class_text", ["mv:1", "zk:1", "mz1"])
+    def test_interval_classes_converge(self, tmp_path, class_text):
+        cfg = write_config(tmp_path / "interval.json",
+                           set={"kind": "z2interval", "lo": -1.0, "hi": 1.0})
+        assert main(["cheb", "--config", cfg, "--class", class_text]) == 0
+
+    def test_numerical_failure_exits_nonconverged(self, capsys, monkeypatch, torus_config):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(chebyshev, "minimax_solve", failing)
+        assert main(["cheb", "--config", torus_config, "--class", "mv:1",
+                     "--n-max", "3"]) == 3
+        assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
     def test_unconverged_exit(self, tmp_path):
         # one-iteration cap cannot reach the tolerance on the interval set
