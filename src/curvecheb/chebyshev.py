@@ -609,8 +609,9 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
     """One solve per class parameter.
 
     A parameter whose class cannot be set up is skipped with a warning so
-    the rest of a sweep survives; a numerical failure (LinAlgError) is
-    raised, since it says nothing about the class.
+    the rest of a sweep survives; when every parameter fails, the first
+    failure is raised.  A numerical failure (LinAlgError) is raised at
+    once, since it says nothing about the class.
     """
     n_range = list(n_range)
     if not n_range:
@@ -618,6 +619,7 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
     if any(b <= a for a, b in zip(n_range, n_range[1:])):
         raise ValueError("parameter range must be increasing")
     out = []
+    failures = []
     for n in n_range:
         try:
             out.append(chebyshev_solve(curve, spec, K, n, opts))
@@ -625,8 +627,9 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
             raise
         except (ClassSpecError, ValueError) as exc:
             warnings.warn(f"solve at n={n} failed: {exc}")
+            failures.append(exc)
     if not out:
-        raise RuntimeError("every solve in the sequence failed")
+        raise failures[0]
     return out
 
 

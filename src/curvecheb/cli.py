@@ -2,8 +2,9 @@
 
 Subcommands: curve-info, sample, cheb, robin, tfd, extremal, verify.
 Exit codes: 0 pass, 1 assertion failure, 2 invalid input, 3 numerical
-non-convergence.  Reports are plain text with tab-separated records and
-fixed float formatting, so identical configs produce byte-identical files.
+failure or non-convergence.  Reports are plain text with tab-separated
+records and fixed float formatting, so identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class RunConfig:
     resolution: int = 1024
     n_max: int = 8
     solver: SolverOptions = field(default_factory=SolverOptions)
-    seed: int = 0
     out_dir: str | None = None
     relaxed: bool = False
     directions: list | None = None   # labels for relaxed-mode Robin constants
@@ -104,7 +104,6 @@ class RunConfig:
             resolution=int(doc.get("resolution", 1024)),
             n_max=int(doc.get("n_max", 8)),
             solver=opts,
-            seed=int(doc.get("seed", 0)),
             out_dir=doc.get("out_dir"),
             relaxed=bool(doc.get("relaxed", False)),
             directions=doc.get("directions"),
@@ -117,8 +116,6 @@ class RunConfig:
             raise ConfigError(f"resolution must be >= {sets.MIN_RESOLUTION}")
         if self.n_max < 1:
             raise ConfigError("n_max must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
         try:
             self.solver.validated()
         except ValueError as exc:
@@ -183,27 +180,33 @@ def parse_class_spec(curve, text):
     """Parse a class spec string.
 
     Grammar: mv:K (powers of v_K), zk:K, mz1j:J,K, mtilde:L,J, mz1
-    (powers of z1).
+    (powers of z1).  Every index is checked against the curve's degree d.
     """
     name, _, args = text.partition(":")
     name = name.strip().lower()
+    if name == "mz1":
+        return MQ(BivarPoly.monomial(1, 0))
+    d = curve.d
+    # constructor and the allowed range of each index
+    forms = {
+        "mv": (lambda k: MQ(curve.dirbasis[k - 1]), [(1, d)]),
+        "zk": (Zk, [(0, d - 1)]),
+        "mz1j": (Mz1jVk, [(0, d - 2), (1, d)]),
+        "mtilde": (TildeMl, [(0, d - 2), (1, d)]),
+    }
+    if name not in forms:
+        raise ConfigError(f"unknown class spec {text!r}")
+    make, ranges = forms[name]
     try:
-        if name == "mv":
-            k = int(args)
-            return MQ(curve.dirbasis[k - 1])
-        if name == "mz1":
-            return MQ(BivarPoly.monomial(1, 0))
-        if name == "zk":
-            return Zk(int(args))
-        if name == "mz1j":
-            j, k = (int(x) for x in args.split(","))
-            return Mz1jVk(j, k)
-        if name == "mtilde":
-            l, j = (int(x) for x in args.split(","))
-            return TildeMl(l, j)
-    except (ValueError, IndexError, TypeError, AttributeError) as exc:
+        idx = [int(x) for x in args.split(",")]
+        if len(idx) != len(ranges):
+            raise ValueError(f"expected {len(ranges)} indices")
+        for i, (lo, hi) in zip(idx, ranges):
+            if not lo <= i <= hi:
+                raise ValueError(f"index {i} is outside {lo}..{hi} on a degree-{d} curve")
+        return make(*idx)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad class spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown class spec {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,6 @@ def build_parser():
     common.add_argument("--config", required=True, help="path to a JSON run config")
     common.add_argument("--n-max", type=int, default=None)
     common.add_argument("--resolution", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--relaxed", action="store_true", default=None)
     common.add_argument("--out", default=None, help="output directory for report files")
     common.add_argument("--allow-unconverged", action="store_true")
@@ -448,8 +450,6 @@ def main(argv=None):
             cfg.n_max = args.n_max
         if args.resolution is not None:
             cfg.resolution = args.resolution
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.relaxed:
             cfg.relaxed = True
         cfg.validate()
@@ -475,7 +475,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(cfg, out, args.tolerance_scale)
         raise ConfigError(f"unknown command {args.command!r}")
-    except np.linalg.LinAlgError as exc:   # a ValueError, but not invalid input
+    except (np.linalg.LinAlgError, RuntimeError) as exc:  # not invalid input
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except (ConfigError, CurveError, SamplingError, ValueError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyring import leading_part, normal_form
-from .sets import AbsV1V2Torus, BidiskTrace, Z1Disk, Z2Interval
+from .sets import AbsV1V2Torus, BidiskTrace, Z1Disk, Z2Interval, _lift
 from .chebyshev import (
     MQ,
     Mz1jVk,
@@ -346,15 +346,7 @@ def oracle_eval(descriptor, pts, curve=None):
 
 def probe_points(curve, radii, count):
     """Points of the curve on |z1| = r circles, for off-set evaluation."""
-    pts = []
-    from .sets import _poly_in_z2, _newton_polish
-
     per = max(1, count // (len(radii) * max(curve.d, 1)))
-    for r in radii:
-        for i in range(per):
-            theta = 2.0 * np.pi * (i + 0.37) / per
-            z1 = r * np.exp(1j * theta)
-            for w in np.roots(_poly_in_z2(curve, z1)):
-                z1p, z2p = _newton_polish(curve, z1, w, on="z2")
-                pts.append((z1p, z2p))
-    return np.asarray(pts[:count], dtype=complex)
+    theta = 2.0 * np.pi * (np.arange(per) + 0.37) / per
+    _, z1, z2 = _lift(curve, np.concatenate([r * np.exp(1j * theta) for r in radii]), "z1")
+    return np.stack([z1, z2], axis=1)[:count]

@@ -6,13 +6,18 @@ with the lam_k distinct and nonzero.  This module provides the polynomial
 arithmetic, curve validation, normal forms in the quotient, the two graded
 bases S (standard monomials) and C (directional), and the structural
 identities that the rest of the package relies on.
+
+Each Curve carries a private cache, filled on first use and gone with the
+curve: the power table NF(p^q) of every polynomial p raised by pow_mod,
+and the S and C basis prefixes, built block by block.  A degree-n C
+element z1^r v_k^q is z1^r times a table entry, so no power is recomputed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -259,6 +264,9 @@ class Curve:
     relaxed: bool
     reduce_monomial: tuple
     reduce_rhs: BivarPoly
+    # power tables (pow_mod) and basis prefixes (_prefix), filled lazily;
+    # not part of the curve's value
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, z1, z2):
         return self.defining(z1, z2)
@@ -383,12 +391,19 @@ def normal_form(curve, p):
 
 
 def pow_mod(curve, p, n):
-    """normal_form(p^n), reducing after every multiplication."""
-    out = BivarPoly.constant(1.0)
-    base = normal_form(curve, p)
-    for _ in range(n):
-        out = normal_form(curve, out * base)
-    return out
+    """normal_form(p^n), reducing after every multiplication.
+
+    The powers of p are cached on the curve and extended as needed.  The
+    key is p's ordered term list: an equal polynomial with its terms in
+    another order rounds differently.
+    """
+    key = ("pow", tuple(p.terms.items()))
+    if key not in curve._cache:
+        curve._cache[key] = (normal_form(curve, p), [BivarPoly.constant(1.0)])
+    base, table = curve._cache[key]
+    while len(table) <= n:
+        table.append(normal_form(curve, table[-1] * base))
+    return table[n]
 
 
 # ---------------------------------------------------------------------------
@@ -420,106 +435,52 @@ def _standard_monomials_of_degree(curve, n):
     ]
 
 
+def _prefix(curve, basis_id, degree):
+    """The curve's cached basis prefix and block ends, built through degree.
+
+    ends[n] is the number of elements of degree <= n.  Blocks are appended
+    one degree at a time and never rebuilt.
+    """
+    elems, ends = curve._cache.setdefault(("basis", basis_id), ([], []))
+    while len(ends) <= degree:
+        elems.extend(basis_block(curve, basis_id, len(ends), start_index=len(elems) + 1))
+        ends.append(len(elems))
+    return elems, ends
+
+
 def basis_enumerate(curve, basis_id, count):
     """First `count` elements of the graded basis S or C."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = []
-    if basis_id == BASIS_S:
-        n = 0
-        while len(out) < count:
-            for (a, b) in _standard_monomials_of_degree(curve, n):
-                out.append(
-                    BasisElement(
-                        BASIS_S,
-                        len(out) + 1,
-                        BivarPoly.monomial(a, b),
-                        n,
-                        f"z1^{a}*z2^{b}",
-                        ("monomial", a, b),
-                    )
-                )
-                if len(out) == count:
-                    break
-            n += 1
-        return out
-    if basis_id != BASIS_C:
-        raise ValueError(f"unknown basis id {basis_id!r}")
-    curve.require_directional("basis C")
-    d = curve.d
-    n = 0
-    while len(out) < count:
-        if n <= d - 2:
-            elems = [
-                (BivarPoly.monomial(a, b), f"z1^{a}*z2^{b}", ("monomial", a, b))
-                for (a, b) in _standard_monomials_of_degree(curve, n)
-            ]
-        else:
-            q, r = divmod(n, d - 1)
-            elems = []
-            for k in range(1, d + 1):
-                poly = normal_form(
-                    curve,
-                    BivarPoly.monomial(r, 0) * pow_mod(curve, curve.dirbasis[k - 1], q),
-                )
-                elems.append((poly, f"z1^{r}*v{k}^{q}", ("dir", r, k, q)))
-        for poly, label, shape in elems:
-            out.append(BasisElement(BASIS_C, len(out) + 1, poly, n, label, shape))
-            if len(out) == count:
-                break
-        n += 1
-    return out
+    elems, ends = _prefix(curve, basis_id, 0)
+    while len(elems) < count:
+        _prefix(curve, basis_id, len(ends))
+    return elems[:count]
 
 
 def basis_through_degree(curve, basis_id, degree):
     """All basis elements of degree <= degree (the m_n prefix)."""
-    out = []
-    idx = 0
-    # generate degree by degree to avoid over-reading
-    n = 0
-    while n <= degree:
-        block = basis_block(curve, basis_id, n, start_index=idx + 1)
-        out.extend(block)
-        idx += len(block)
-        n += 1
-    return out
+    if degree < 0:
+        return []
+    elems, ends = _prefix(curve, basis_id, degree)
+    return elems[: ends[degree]]
 
 
 def basis_block(curve, basis_id, n, start_index=1):
     """The degree-n block of the chosen basis, indexed from start_index."""
-    if basis_id == BASIS_S:
-        mons = _standard_monomials_of_degree(curve, n)
-        return [
-            BasisElement(
-                BASIS_S,
-                start_index + i,
-                BivarPoly.monomial(a, b),
-                n,
-                f"z1^{a}*z2^{b}",
-                ("monomial", a, b),
-            )
-            for i, (a, b) in enumerate(mons)
-        ]
-    if basis_id != BASIS_C:
+    if basis_id not in (BASIS_S, BASIS_C):
         raise ValueError(f"unknown basis id {basis_id!r}")
-    curve.require_directional("basis C")
-    d = curve.d
-    if n <= d - 2:
-        mons = _standard_monomials_of_degree(curve, n)
+    if basis_id == BASIS_C:
+        curve.require_directional("basis C")
+    if basis_id == BASIS_S or n <= curve.d - 2:
         return [
-            BasisElement(
-                BASIS_C,
-                start_index + i,
-                BivarPoly.monomial(a, b),
-                n,
-                f"z1^{a}*z2^{b}",
-                ("monomial", a, b),
-            )
-            for i, (a, b) in enumerate(mons)
+            BasisElement(basis_id, start_index + i, BivarPoly.monomial(a, b), n,
+                         f"z1^{a}*z2^{b}", ("monomial", a, b))
+            for i, (a, b) in enumerate(_standard_monomials_of_degree(curve, n))
         ]
-    q, r = divmod(n, d - 1)
+    q, r = divmod(n, curve.d - 1)
     out = []
-    for k in range(1, d + 1):
+    for k in range(1, curve.d + 1):
         poly = normal_form(
             curve,
             BivarPoly.monomial(r, 0) * pow_mod(curve, curve.dirbasis[k - 1], q),

@@ -4,6 +4,12 @@ Every constant computed downstream is taken against a SampledSet, a finite
 point cloud on the curve.  Sublevel-set descriptors sample only the
 distinguished boundary (the sup of |p| along the one-dimensional analytic
 set is attained there), which keeps sample counts small.
+
+Circles and intervals are lifted through the curve in one batch: the
+companion matrices of P along every fixed coordinate value are stacked and
+solved by a single eigenvalue call, and all roots take one vectorized
+Newton step.  On a circle only the angles whose residual check fails are
+lifted again, half a step further on.
 """
 
 from __future__ import annotations
@@ -167,71 +173,73 @@ def _finish(curve, desc, points):
     return SampledSet(points=arr, descriptor=desc, curve=curve, max_residual=max_res)
 
 
-def _poly_in_z2(curve, z1):
-    """Coefficients of z2 -> P(z1, z2), descending, leading trimmed."""
-    degs = {}
-    for (a, b), c in curve.defining.terms.items():
-        degs[b] = degs.get(b, 0j) + c * z1 ** a
-    bmax = max(degs)
-    coeffs = np.array([degs.get(b, 0j) for b in range(bmax, -1, -1)], dtype=complex)
-    return np.trim_zeros(coeffs, "f")
+def _lift(curve, z, axis):
+    """The points of the curve where the coordinate `axis` takes the values z.
 
-def _poly_in_z1(curve, z2):
-    degs = {}
-    for (a, b), c in curve.defining.terms.items():
-        degs[a] = degs.get(a, 0j) + c * z2 ** b
-    amax = max(degs)
-    coeffs = np.array([degs.get(a, 0j) for a in range(amax, -1, -1)], dtype=complex)
-    return np.trim_zeros(coeffs, "f")
+    Returns flat arrays (row, z1, z2) in (row, root) order, row indexing z,
+    with the roots of each row in np.roots order: one batched eigenvalue
+    solve on the stack of the companion matrices np.roots builds.  A row
+    with a zero leading or constant coefficient goes through np.roots
+    itself.  Every root gets one Newton step, skipped near branch points.
+    """
+    z = np.asarray(z, dtype=complex)
+    swap = axis == "z2"     # terms as (power of z, power of the lifted w)
+    terms = [((b, a) if swap else (a, b), c) for (a, b), c in curve.defining.terms.items()]
+    deg = max(e for (_, e), _ in terms)
+    coeffs = np.zeros((len(z), deg + 1), dtype=complex)
+    for (f, e), c in terms:
+        coeffs[:, deg - e] += c * z ** f
+    full = (coeffs[:, 0] != 0) & (coeffs[:, -1] != 0) & (deg > 0)
+    comp = np.zeros((int(full.sum()), deg, deg), dtype=complex)
+    comp[:, :1, :] = (-coeffs[full, 1:] / coeffs[full, :1])[:, None, :]
+    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    rows = [np.repeat(np.flatnonzero(full), deg)]
+    roots = [np.linalg.eigvals(comp).ravel()]
+    for i in np.flatnonzero(~full):
+        roots.append(np.roots(coeffs[i]))
+        rows.append(np.full(len(roots[-1]), i))
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    row, w = row[order], np.concatenate(roots)[order]
+    zr = z[row]
+    val = sum(c * zr ** f * w ** e for (f, e), c in terms)
+    dv = sum(e * c * zr ** f * w ** (e - 1) for (f, e), c in terms if e)
+    w = w - np.divide(val, dv, out=np.zeros_like(w), where=np.abs(dv) >= 1e-8)
+    return (row, w, zr) if swap else (row, zr, w)
 
 
-def _newton_polish(curve, z1, z2, on="z2"):
-    """One Newton step on the lifted coordinate; skipped near branch points."""
-    terms = curve.defining.terms
-    val = curve.defining(z1, z2)
-    if on == "z2":
-        dv = sum(b * c * z1 ** a * z2 ** (b - 1) for (a, b), c in terms.items() if b)
-    else:
-        dv = sum(a * c * z1 ** (a - 1) * z2 ** b for (a, b), c in terms.items() if a)
-    if abs(dv) < 1e-8:
-        return z1, z2
-    if on == "z2":
-        return z1, z2 - val / dv
-    return z1 - val / dv, z2
+def _points(z1, z2):
+    return list(zip(z1.tolist(), z2.tolist()))
 
 
 def _lift_circle(curve, radius, n_angles, axis):
     """Lift the circle |z_axis| = radius through the curve, all branches.
 
-    Retries an angle at a half-step offset when the lifted residual fails
-    (the discriminant-hit case); errors out after three retries.
+    All angles are lifted at once.  An angle whose lifted residual fails
+    (the discriminant-hit case) is retried at a half-step offset; errors
+    out after three retries.
     """
-    pts = []
     step = 2.0 * np.pi / n_angles
     zmax_guess = max(1.0, radius * 4.0)
     tol = RESIDUAL_REL * (1.0 + zmax_guess ** curve.d)
-    for i in range(n_angles):
-        theta = i * step
-        for attempt in range(4):
-            z = radius * np.exp(1j * theta)
-            if axis == "z1":
-                roots = np.roots(_poly_in_z2(curve, z))
-                cand = [(_newton_polish(curve, z, w, on="z2")) for w in roots]
-            else:
-                roots = np.roots(_poly_in_z1(curve, z))
-                cand = [(_newton_polish(curve, w, z, on="z1")) for w in roots]
-            ok = [
-                (p1, p2)
-                for (p1, p2) in cand
-                if abs(curve.defining(p1, p2)) < tol
-            ]
-            if len(ok) == len(cand) and cand:
-                pts.extend(ok)
-                break
-            theta += step / 2.0
-        else:
-            raise SamplingError("root lifting failed after 3 retries")
-    return pts
+    theta = step * np.arange(n_angles)
+    todo = np.arange(n_angles)
+    done = []
+    for _ in range(4):
+        row, z1, z2 = _lift(curve, radius * np.exp(1j * theta[todo]), axis)
+        bad = np.bincount(row, np.abs(curve.defining(z1, z2)) >= tol, len(todo)) > 0
+        bad |= np.bincount(row, minlength=len(todo)) == 0
+        keep = ~bad[row]
+        done.append((todo[row[keep]], z1[keep], z2[keep]))
+        theta[todo[bad]] += step / 2.0
+        todo = todo[bad]
+        if not todo.size:
+            break
+    else:
+        raise SamplingError("root lifting failed after 3 retries")
+    angle, z1, z2 = (np.concatenate(x) for x in zip(*done))
+    order = np.argsort(angle, kind="stable")
+    return _points(z1[order], z2[order])
 
 
 def sample(curve, desc):
@@ -248,12 +256,8 @@ def sample(curve, desc):
         half = 0.5 * (desc.hi - desc.lo)
         nseg = max(MIN_RESOLUTION, desc.resolution // max(curve.d, 1))
         xs = mid + half * np.cos(np.pi * np.arange(nseg + 1) / nseg)
-        pts = []
-        for x in xs:
-            roots = np.roots(_poly_in_z1(curve, complex(x)))
-            for w in roots:
-                pts.append(_newton_polish(curve, w, complex(x), on="z1"))
-        return _finish(curve, desc, pts)
+        _, z1, z2 = _lift(curve, xs, axis="z2")
+        return _finish(curve, desc, _points(z1, z2))
 
     if isinstance(desc, AbsV1V2Torus):
         curve.require_directional("torus descriptor")

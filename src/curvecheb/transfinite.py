@@ -183,7 +183,8 @@ def transfinite_diameter(curve, K, basis_id, n_max, run=None):
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    m_n, _ = block_counts(curve, basis_id, n_max)
+    elems = basis_through_degree(curve, basis_id, n_max)
+    m_n = len(elems)
     if m_n > len(K.points):
         raise ValueError(
             f"candidate set has {len(K.points)} points, need {m_n} for degree {n_max}"
@@ -201,8 +202,8 @@ def transfinite_diameter(curve, K, basis_id, n_max, run=None):
         n_lo += 1
     if n_lo == n_max:
         return ests[n_max], run
-    _, l_hi = block_counts(curve, basis_id, n_max)
-    _, l_lo = block_counts(curve, basis_id, n_lo)
+    l_hi = sum(el.degree for el in elems)
+    l_lo = sum(el.degree for el in elems if el.degree <= n_lo)
     slope = (l_hi * np.log(ests[n_max]) - l_lo * np.log(ests[n_lo])) / (l_hi - l_lo)
     return float(np.exp(slope)), run
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvecheb import chebyshev
+from curvecheb import chebyshev, cli
 from curvecheb.cli import main
 
 
@@ -114,6 +114,18 @@ class TestCheb:
                      "--n-max", "3"]) == 3
         assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
+    def test_class_index_beyond_degree_invalid(self, capsys, torus_config):
+        # the hyperbola has d = 2, so zk:K needs K <= 1
+        assert main(["cheb", "--config", torus_config, "--class", "zk:5"]) == 2
+        assert "outside 0..1 on a degree-2 curve" in capsys.readouterr().err
+
+    def test_every_parameter_failing_reports_the_cause(self, capsys, torus_config):
+        with pytest.warns(UserWarning, match="failed"):
+            rc = main(["cheb", "--config", torus_config, "--class", "mv:1",
+                       "--n-min", "40", "--n-max", "41", "--resolution", "64"])
+        assert rc == 2
+        assert "must not exceed the sample" in capsys.readouterr().err
+
     def test_unconverged_exit(self, tmp_path):
         # one-iteration cap cannot reach the tolerance on the interval set
         cfg = write_config(tmp_path / "hard.json",
@@ -146,6 +158,14 @@ class TestSampleAndTfd:
         out = capsys.readouterr().out
         est = float(out.rsplit("estimate", 1)[1])
         assert abs(est - 0.5) / 0.5 < 0.15
+
+    def test_runtime_error_exits_nonconverged(self, capsys, monkeypatch, torus_config):
+        def failing(*args, **kwargs):
+            raise RuntimeError("degenerate candidate set")
+
+        monkeypatch.setattr(cli, "transfinite_diameter", failing)
+        assert main(["tfd", "--config", torus_config, "--n-max", "4"]) == 3
+        assert "numerical failure: degenerate candidate set" in capsys.readouterr().err
 
 
 class TestRobinCmd:
@@ -201,6 +221,13 @@ class TestConfigErrors:
     def test_bad_set_kind(self, tmp_path):
         cfg = write_config(tmp_path / "b.json", set={"kind": "mystery"})
         assert main(["sample", "--config", cfg]) == 2
+
+    def test_seed_key_ignored_and_flag_gone(self, tmp_path):
+        # the pipeline has no randomness: a config's seed is accepted and unused
+        cfg = write_config(tmp_path / "s.json", seed=-3)
+        assert main(["curve-info", "--config", cfg]) == 0
+        with pytest.raises(SystemExit):
+            main(["curve-info", "--config", cfg, "--seed", "1"])
 
     def test_bad_class_spec(self, torus_config):
         assert main(["cheb", "--config", torus_config, "--class", "what:9"]) == 2

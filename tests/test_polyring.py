@@ -195,6 +195,63 @@ class TestBases:
                 assert el.degree == q * (d - 1) + r and 0 <= r < d - 1
 
 
+def _scratch_element(curve, shape):
+    """A basis element's normal form, powers taken without any cache."""
+    if shape[0] == "monomial":
+        return BivarPoly.monomial(shape[1], shape[2])
+    _, r, k, q = shape
+    base = normal_form(curve, curve.dirbasis[k - 1])
+    power = BivarPoly.constant(1.0)
+    for _ in range(q):
+        power = normal_form(curve, power * base)
+    return normal_form(curve, BivarPoly.monomial(r, 0) * power)
+
+
+class TestBasisCache:
+    def test_prefixes_equal_scratch_build(self, cubic7):
+        curve = curve_new(cubic7.defining)
+        d = curve.d
+        for basis in (BASIS_S, BASIS_C):
+            # a short enumeration first, so the prefix is extended in pieces
+            basis_enumerate(curve, basis, 7)
+            elems = basis_through_degree(curve, basis, 24)
+            assert basis_enumerate(curve, basis, len(elems)) == elems
+            i = 0
+            for n in range(25):
+                if basis == BASIS_S or n <= d - 2:
+                    shapes = [("monomial", n - b, b) for b in range(min(n, d - 1) + 1)]
+                    labels = [f"z1^{a}*z2^{b}" for _, a, b in shapes]
+                else:
+                    q, r = divmod(n, d - 1)
+                    shapes = [("dir", r, k, q) for k in range(1, d + 1)]
+                    labels = [f"z1^{r}*v{k}^{q}" for k in range(1, d + 1)]
+                for shape, label in zip(shapes, labels):
+                    el = elems[i]
+                    i += 1
+                    assert (el.index, el.degree, el.label, el.shape) == (i, n, label, shape)
+                    assert el.poly == _scratch_element(curve, shape)
+            assert i == len(elems)
+
+    def test_pow_mod_equals_scratch_powers(self, cubic7):
+        curve = curve_new(cubic7.defining)
+        v = curve.dirbasis[1]
+        table = [pow_mod(curve, v, q) for q in (5, 2, 9, 0)]
+        for q, got in zip((5, 2, 9, 0), table):
+            assert got == _scratch_element(curve, ("dir", 0, 2, q))
+
+    def test_equal_curves_share_no_cache(self, cubic7):
+        a = curve_new(cubic7.defining)
+        b = curve_new(cubic7.defining)
+        key = (a == b, hash(a) == hash(b), repr(a) == repr(b))
+        hash_before = hash(a)
+        basis_through_degree(a, BASIS_C, 12)
+        assert a._cache and not b._cache
+        assert a._cache is not b._cache
+        assert (a == b, hash(a) == hash(b), repr(a) == repr(b)) == key == (True, True, True)
+        assert hash(a) == hash_before
+        assert "_cache" not in repr(a)
+
+
 class TestExpand:
     def test_z2_in_directional_basis(self, hyp):
         coeffs = expand_in_basis(hyp, Z2, BASIS_C)

@@ -13,6 +13,7 @@ from curvecheb import (
     sample,
     sup_norm,
 )
+from curvecheb import sets
 from curvecheb.sets import SamplingError, read_point_cloud, write_point_cloud
 
 
@@ -95,6 +96,79 @@ class TestSampling:
                      for t in np.linspace(-1, 1, 17))
         K = sample(hyp, ParamCurve(rows=rows))
         assert len(K) == 17
+
+
+def _per_value_roots(curve, z, axis):
+    """Reference lift: np.roots at each value, then one Newton step."""
+    pts = []
+    for zv in z:
+        if axis == "z1":
+            terms = {(a, b): c for (a, b), c in curve.defining.terms.items()}
+        else:
+            terms = {(b, a): c for (a, b), c in curve.defining.terms.items()}
+        deg = max(e for _, e in terms)
+        coeffs = np.zeros(deg + 1, dtype=complex)
+        for (f, e), c in terms.items():
+            coeffs[deg - e] += c * zv ** f
+        for w in np.roots(coeffs):
+            val = sum(c * zv ** f * w ** e for (f, e), c in terms.items())
+            dv = sum(e * c * zv ** f * w ** (e - 1) for (f, e), c in terms.items() if e)
+            if abs(dv) >= 1e-8:
+                w = w - val / dv
+            pts.append((zv, w) if axis == "z1" else (w, zv))
+    return np.array(pts)
+
+
+class TestBatchedLift:
+    @pytest.mark.parametrize("axis", ["z1", "z2"])
+    def test_matches_per_value_roots(self, cubic7, axis):
+        z = 1.2 * np.exp(2j * np.pi * np.arange(97) / 97)
+        row, z1, z2 = sets._lift(cubic7, z, axis)
+        ref = _per_value_roots(cubic7, z, axis)
+        assert len(z1) == len(ref) == 3 * len(z)
+        assert np.array_equal(row, np.repeat(np.arange(len(z)), 3))
+        got = np.stack([z1, z2], axis=1)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    def test_circle_keeps_angle_then_root_order(self, cubic7):
+        pts = np.array(sets._lift_circle(cubic7, 1.2, 64, "z1"))
+        z = 1.2 * np.exp(1j * (2.0 * np.pi / 64) * np.arange(64))
+        ref = _per_value_roots(cubic7, z, "z1")
+        assert pts.shape == ref.shape
+        assert np.max(np.abs(pts - ref) / np.abs(ref)) <= 1e-14
+
+    @staticmethod
+    def _corrupt_first_angle(monkeypatch, calls):
+        """Make angle 0 fail the residual check for the first `calls` lifts."""
+        lift = sets._lift
+        seen = []
+
+        def corrupted(curve, z, axis):
+            row, z1, z2 = lift(curve, z, axis)
+            seen.append(z.copy())
+            if len(seen) <= calls:
+                z2 = np.where(row == 0, z2 + 1.0, z2)
+            return row, z1, z2
+
+        monkeypatch.setattr(sets, "_lift", corrupted)
+        return seen
+
+    def test_failing_angle_retried_at_half_step(self, monkeypatch, cubic7):
+        clean = sets._lift_circle(cubic7, 1.2, 32, "z1")
+        seen = self._corrupt_first_angle(monkeypatch, calls=1)
+        pts = sets._lift_circle(cubic7, 1.2, 32, "z1")
+        # only the failing angle is lifted again, half a step further on
+        assert [len(z) for z in seen] == [32, 1]
+        assert seen[1][0] == pytest.approx(1.2 * np.exp(1j * np.pi / 32), abs=1e-15)
+        assert len(pts) == len(clean)
+        assert all(p[0] == pytest.approx(seen[1][0], abs=1e-15) for p in pts[:3])
+        assert pts[3:] == clean[3:]
+
+    def test_three_failed_retries_raise(self, monkeypatch, cubic7):
+        seen = self._corrupt_first_angle(monkeypatch, calls=4)
+        with pytest.raises(SamplingError, match="after 3 retries"):
+            sets._lift_circle(cubic7, 1.2, 32, "z1")
+        assert [len(z) for z in seen] == [32, 1, 1, 1]
 
 
 class TestSupNorm:
