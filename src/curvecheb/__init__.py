@@ -18,7 +18,6 @@ from .polyring import (
 from .sets import (
     AbsV1V2Torus,
     BidiskTrace,
-    ParamCurve,
     PointCloud,
     SampledSet,
     Z1Disk,
@@ -41,7 +40,6 @@ __all__ = [
     "polyprop_residual",
     "AbsV1V2Torus",
     "BidiskTrace",
-    "ParamCurve",
     "PointCloud",
     "SampledSet",
     "Z1Disk",

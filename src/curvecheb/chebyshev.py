@@ -1,10 +1,12 @@
 """Monic polynomial classes and discrete complex minimax solves.
 
-A class fixes a leading term (a power of a homogeneous polynomial, possibly
-multiplied by another one, or a graded-basis element) and leaves all lower
-terms free.  T_n values are the n-th roots of the minimal sup norms over a
-SampledSet, n being the degree of the leading term in the coordinate ring;
-constants are estimated from sequences of such solves.
+A class fixes a leading term and leaves lower terms free.  It is of the
+product kind (MQ, MRQ, Mz1jVk: leading term NF(R Q^n), every term of lower
+degree free) or of the position kind (Zk, TildeMl: an element of a graded
+basis, the elements before it free).  T_n values are the n-th roots of the
+minimal sup norms over a SampledSet, n being the degree of the leading term
+in the coordinate ring; constants are estimated from sequences of such
+solves.  Inside a sweep(), as in `curvecheb verify`, each is solved once.
 
 The minimax subproblem min_c max_i |f_i + (G c)_i| is the second-order
 cone program: minimise t subject to |f_i + (G c)_i| <= t, one 3-dimensional
@@ -26,6 +28,8 @@ is converged when norm <= lb * (1 + tol), and gap = norm - lb.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +58,15 @@ def _require_homogeneous(p, name):
         raise ClassSpecError(f"{name} must be homogeneous")
 
 
+def _require_direction(curve, name, j, k):
+    """Check a class z1^j v_k^n: directional curve, 0 <= j <= d-2, 1 <= k <= d."""
+    curve.require_directional("directional classes")
+    if not 0 <= j <= curve.d - 2:
+        raise ClassSpecError(f"{name} must satisfy 0 <= {name} <= d-2 = {curve.d - 2}")
+    if not 1 <= k <= curve.d:
+        raise ClassSpecError("direction index out of range")
+
+
 def _canonical_scale(p):
     """Divide out the coefficient of the grevlex-largest monomial.
 
@@ -65,8 +78,48 @@ def _canonical_scale(p):
     return p * (1.0 / p.coeff(*top))
 
 
+class _Product:
+    """Leading term NF(R Q^n), the S basis below its degree free.  A class
+    of this kind gives factors(curve) -> (R, Q), checking its indices."""
+
+    def parametrize(self, curve, n):
+        r, q = self.factors(curve)
+        leading = normal_form(curve, r * pow_mod(curve, q, n))
+        if leading.is_zero:
+            raise ClassSpecError("leading term reduces to zero in the coordinate ring")
+        return leading, basis_through_degree(curve, BASIS_S, int(leading.degree) - 1)
+
+    def leading_values(self, curve, n, K):
+        # product form avoids the cancellation incurred by expanding high
+        # powers; the values agree with the normal form on the curve
+        r, q = self.factors(curve)
+        return r(K.z1, K.z2) * q(K.z1, K.z2) ** n
+
+
+class _Position:
+    """Leading term element pos of the degree-D block of basis B, the
+    elements before it free.  A class of this kind gives
+    position(curve, n) -> (B, D, pos), checking its indices."""
+
+    def _element(self, curve, n):
+        basis_id, degree, pos = self.position(curve, n)
+        prefix = basis_through_degree(curve, basis_id, degree)
+        block = [el for el in prefix if el.degree == degree]
+        if pos >= len(block):
+            raise ClassSpecError(f"no position {pos} in the degree-{degree} block of {basis_id}")
+        return block[pos], prefix
+
+    def parametrize(self, curve, n):
+        el, prefix = self._element(curve, n)
+        return el.poly, prefix[: el.index - 1]
+
+    def leading_values(self, curve, n, K):
+        el, _ = self._element(curve, n)
+        return basis_values(curve, [el], K)[:, 0]
+
+
 @dataclass(frozen=True)
-class MQ:
+class MQ(_Product):
     """Powers of a homogeneous Q with free lower-order terms."""
 
     q: BivarPoly
@@ -77,9 +130,12 @@ class MQ:
     def describe(self):
         return f"M({self.q.short()})"
 
+    def factors(self, curve):
+        return BivarPoly.constant(1.0), self.q
+
 
 @dataclass(frozen=True)
-class MRQ:
+class MRQ(_Product):
     """R * Q^n with free lower-order terms; R is scale-canonicalized."""
 
     r: BivarPoly
@@ -92,9 +148,12 @@ class MRQ:
     def describe(self):
         return f"M_{self.r.short()}({self.q.short()})"
 
+    def factors(self, curve):
+        return _canonical_scale(self.r), self.q
+
 
 @dataclass(frozen=True)
-class Zk:
+class Zk(_Position):
     """Leading z2^k z1^n, lower terms free in the graded S ordering."""
 
     k: int
@@ -106,9 +165,14 @@ class Zk:
     def describe(self):
         return f"Z({self.k})"
 
+    def position(self, curve, n):
+        if self.k > curve.d - 1:
+            raise ClassSpecError(f"k must be <= d-1 = {curve.d - 1}")
+        return BASIS_S, n + self.k, self.k
+
 
 @dataclass(frozen=True)
-class Mz1jVk:
+class Mz1jVk(_Product):
     """Leading z1^j v_k^n with all lower-degree terms free."""
 
     j: int
@@ -117,9 +181,13 @@ class Mz1jVk:
     def describe(self):
         return f"M_z1^{self.j}(v{self.k})"
 
+    def factors(self, curve):
+        _require_direction(curve, "j", self.j, self.k)
+        return BivarPoly.monomial(self.j, 0), curve.dirbasis[self.k - 1]
+
 
 @dataclass(frozen=True)
-class TildeMl:
+class TildeMl(_Position):
     """Leading z1^l v_j^n, lower terms free in the graded C ordering."""
 
     l: int
@@ -128,8 +196,13 @@ class TildeMl:
     def describe(self):
         return f"Mt_z1^{self.l}(v{self.j})"
 
+    def position(self, curve, n):
+        # z1^l v_j^n is element j-1 of its degree block
+        _require_direction(curve, "l", self.l, self.j)
+        return BASIS_C, n * (curve.d - 1) + self.l, self.j - 1
 
-@dataclass
+
+@dataclass(frozen=True)
 class SolverOptions:
     """max_iter caps the interior-point iterations of a solve, the least
     squares start included; tol is the relative certified gap a converged
@@ -164,19 +237,6 @@ class ChebSolve:
 # Class parametrization
 # ---------------------------------------------------------------------------
 
-def _zk_leading(curve, k, n):
-    """(k+1)-th element of the degree-(n+k) block of S, globally indexed.
-
-    On a curve with the standard reduction this is the monomial z2^k z1^n;
-    the block form is what generalizes to relaxed curves.
-    """
-    prefix = basis_through_degree(curve, BASIS_S, n + k)
-    block = [el for el in prefix if el.degree == n + k]
-    if k >= len(block):
-        raise ClassSpecError(f"no position {k} in the degree-{n + k} block of S")
-    return block[k], prefix
-
-
 def class_parametrize(curve, spec, n):
     """Leading polynomial and free basis of the class at parameter n.
 
@@ -185,69 +245,7 @@ def class_parametrize(curve, spec, n):
     """
     if n < 1:
         raise ClassSpecError("class parameter must be >= 1")
-    d = curve.d
-
-    if isinstance(spec, MQ):
-        leading = pow_mod(curve, spec.q, n)
-    elif isinstance(spec, MRQ):
-        leading = normal_form(curve, _canonical_scale(spec.r) * pow_mod(curve, spec.q, n))
-    elif isinstance(spec, Zk):
-        if spec.k > d - 1:
-            raise ClassSpecError(f"k must be <= d-1 = {d - 1}")
-        el, prefix = _zk_leading(curve, spec.k, n)
-        return el.poly, prefix[: el.index - 1]
-    elif isinstance(spec, Mz1jVk):
-        curve.require_directional("directional classes")
-        if not 0 <= spec.j <= d - 2:
-            raise ClassSpecError(f"j must satisfy 0 <= j <= d-2 = {d - 2}")
-        if not 1 <= spec.k <= d:
-            raise ClassSpecError("direction index out of range")
-        leading = normal_form(
-            curve,
-            BivarPoly.monomial(spec.j, 0) * pow_mod(curve, curve.dirbasis[spec.k - 1], n),
-        )
-    elif isinstance(spec, TildeMl):
-        curve.require_directional("directional classes")
-        if not 0 <= spec.l <= d - 2:
-            raise ClassSpecError(f"l must satisfy 0 <= l <= d-2 = {d - 2}")
-        if not 1 <= spec.j <= d:
-            raise ClassSpecError("direction index out of range")
-        degree = n * (d - 1) + spec.l
-        prefix = basis_through_degree(curve, BASIS_C, degree)
-        # position of z1^l v_j^n inside its degree block is j
-        block_start = next(i for i, el in enumerate(prefix) if el.degree == degree)
-        el = prefix[block_start + spec.j - 1]
-        assert el.shape == ("dir", spec.l, spec.j, n)
-        return el.poly, prefix[: el.index - 1]
-    else:
-        raise TypeError(f"unknown class spec {type(spec).__name__}")
-
-    if leading.is_zero:
-        raise ClassSpecError("leading term reduces to zero in the coordinate ring")
-    total = int(leading.degree)
-    free = basis_through_degree(curve, BASIS_S, total - 1) if total >= 1 else []
-    return leading, free
-
-
-def _leading_values(curve, spec, n, K):
-    """Evaluate the class leading term at the sample points in product form.
-
-    Product-form evaluation avoids the cancellation incurred by expanding
-    high powers; values agree with the normal form on the curve.
-    """
-    z1, z2 = K.z1, K.z2
-    if isinstance(spec, MQ):
-        return spec.q(z1, z2) ** n
-    if isinstance(spec, MRQ):
-        return _canonical_scale(spec.r)(z1, z2) * spec.q(z1, z2) ** n
-    if isinstance(spec, Mz1jVk):
-        return (z1 ** spec.j) * curve.dirbasis[spec.k - 1](z1, z2) ** n
-    if isinstance(spec, TildeMl):
-        return (z1 ** spec.l) * curve.dirbasis[spec.j - 1](z1, z2) ** n
-    if isinstance(spec, Zk):
-        el, _ = _zk_leading(curve, spec.k, n)
-        return el.poly(z1, z2)
-    raise TypeError(f"unknown class spec {type(spec).__name__}")
+    return spec.parametrize(curve, n)
 
 
 def basis_values(curve, elements, K):
@@ -594,15 +592,34 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
 # Sequences and constants
 # ---------------------------------------------------------------------------
 
+_SWEEP_SOLVES = ContextVar("sweep_solves", default=None)
+
+
+@contextmanager
+def sweep():
+    """Scope in which chebyshev_solve solves each (curve, class, set, n,
+    options) once, curve and set compared by identity, class and options
+    by equality.  A failed solve is not kept."""
+    token = _SWEEP_SOLVES.set({})
+    try:
+        yield
+    finally:
+        _SWEEP_SOLVES.reset(token)
+
+
 def chebyshev_solve(curve, spec, K, n, opts=None):
     """One minimax solve for the class at parameter n."""
+    memo = _SWEEP_SOLVES.get()
+    # the memo holds curve and K, so their ids are not reused while it lives
+    key = (id(curve), id(K), spec, n, opts or SolverOptions())
+    if memo is not None and key in memo:
+        return memo[key][0]
     leading, free = class_parametrize(curve, spec, n)
-    fvals = _leading_values(curve, spec, n, K)
-    G = basis_values(curve, free, K) if free else None
-    return minimax_solve(
-        leading, free, K, opts, curve=curve, leading_values=fvals,
-        basis_matrix=G, spec=spec, n=n,
-    )
+    solve = minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
+                          leading_values=spec.leading_values(curve, n, K))
+    if memo is not None:
+        memo[key] = (solve, curve, K)
+    return solve
 
 
 def chebyshev_sequence(curve, spec, K, n_range, opts=None):

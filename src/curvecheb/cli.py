@@ -42,6 +42,7 @@ from .chebyshev import (
     chebyshev_sequence,
     comparison_report,
     directional_constants,
+    sweep,
     tau_sequence,
 )
 from .transfinite import leja_start, leja_extend, transfinite_diameter, vn_tau_check, block_counts
@@ -327,6 +328,7 @@ def cmd_extremal(cfg, out, n):
     return EXIT_OK
 
 
+@sweep()
 def cmd_verify(cfg, out, tol_scale):
     curve = cfg.build_curve()
     K = sample(curve, cfg.build_descriptor())

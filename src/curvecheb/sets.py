@@ -88,19 +88,6 @@ class BidiskTrace:
 
 
 @dataclass(frozen=True)
-class ParamCurve:
-    """Explicit parametrization table: rows (t, z1, z2), already on A."""
-
-    rows: tuple  # of (float, complex, complex)
-    resolution: int = field(default=0)
-
-    def __post_init__(self):
-        if len(self.rows) < 1:
-            raise ValueError("parametrization table is empty")
-        object.__setattr__(self, "resolution", len(self.rows))
-
-
-@dataclass(frozen=True)
 class PointCloud:
     """Explicit list of (z1, z2) points, validated against the curve."""
 
@@ -146,22 +133,18 @@ class SampledSet:
 
 
 def _dedupe(points):
-    seen = set()
-    out = []
-    for p in points:
-        key = (round(p[0].real, 12), round(p[0].imag, 12),
-               round(p[1].real, 12), round(p[1].imag, 12))
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+    """The rows of points (N x 2) without repeats, which are rows equal
+    after rounding the real and imaginary parts to 12 decimals; the first
+    occurrences keep their order."""
+    key = np.round(np.concatenate([points.real, points.imag], axis=1), 12)
+    _, first = np.unique(key, axis=0, return_index=True)
+    return points[np.sort(first)]
 
 
 def _finish(curve, desc, points):
-    points = _dedupe(points)
-    if not points:
+    if not len(points):
         raise SamplingError("empty set")
-    arr = np.array(points, dtype=complex)
+    arr = _dedupe(np.array(points, dtype=complex))
     res = np.abs(curve.evaluate(arr[:, 0], arr[:, 1]))
     zmax = float(np.max(np.abs(arr)))
     bound = RESIDUAL_REL * (1.0 + zmax ** curve.d)
@@ -294,8 +277,6 @@ def sample(curve, desc):
                 if abs(abs(w) - desc.r2) <= 1e-6 * max(1.0, desc.r2):
                     z = Minv @ np.array([c, w])
                     pts.append((complex(z[0]), complex(z[1])))
-        if not pts:
-            raise SamplingError("empty set")
         return _finish(curve, desc, pts)
 
     if isinstance(desc, BidiskTrace):
@@ -307,12 +288,6 @@ def sample(curve, desc):
         for p1, p2 in _lift_circle(curve, desc.r2, half, axis="z2"):
             if abs(p1) <= desc.r1 * (1.0 + 1e-9):
                 pts.append((p1, p2))
-        if not pts:
-            raise SamplingError("empty set")
-        return _finish(curve, desc, pts)
-
-    if isinstance(desc, ParamCurve):
-        pts = [(complex(z1), complex(z2)) for (_, z1, z2) in desc.rows]
         return _finish(curve, desc, pts)
 
     if isinstance(desc, PointCloud):

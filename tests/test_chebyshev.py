@@ -66,6 +66,36 @@ class TestClassParametrize:
         assert lead_t.close_to(lead_m)
         assert len(free_t) == len(free_m) + 1
 
+    def test_unit_prefactor_is_the_power_class(self, hyp, torus_set_small):
+        q = hyp.dirbasis[1]
+        plain, unit = MQ(q), MRQ(BivarPoly.constant(1.0), q)
+        for n in (1, 2, 5):
+            lead_p, free_p = class_parametrize(hyp, plain, n)
+            lead_u, free_u = class_parametrize(hyp, unit, n)
+            assert list(lead_u.terms.items()) == list(lead_p.terms.items())
+            assert free_u == free_p
+            assert np.array_equal(unit.leading_values(hyp, n, torus_set_small),
+                                  plain.leading_values(hyp, n, torus_set_small))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_direction_class_without_prefactor_is_the_power_class(self, hyp, torus_set_small, k):
+        for n in (1, 3):
+            a = chebyshev_solve(hyp, Mz1jVk(0, k), torus_set_small, n)
+            b = chebyshev_solve(hyp, MQ(hyp.dirbasis[k - 1]), torus_set_small, n)
+            assert a.minimizer == b.minimizer
+            assert a.norm == b.norm
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_product_free_basis_sizes_on_cubic(self, cubic7):
+        def sizes(spec):
+            return [len(class_parametrize(cubic7, spec, n)[1]) for n in range(1, 5)]
+
+        # the S basis of a cubic has blocks of 1, 2, 3, 3, ... elements
+        assert sizes(MRQ(Z2, Z1)) == [3, 6, 9, 12]
+        assert sizes(MRQ(Z1 * Z2, cubic7.dirbasis[0])) == [9, 15, 21, 27]
+        assert sizes(Mz1jVk(0, 2)) == [3, 9, 15, 21]
+        assert sizes(Mz1jVk(1, 2)) == [6, 12, 18, 24]
+
 
 class TestMinimaxSolve:
     def test_monomial_floor_on_unit_disk(self, hyp, disk1_set):
@@ -348,3 +378,54 @@ class TestComparisonReport:
             ests.append(constant_estimate(seq).estimate)
         assert ests[0] >= ests[1] * (1 - 0.02)
         assert ests[1] >= ests[2] * (1 - 0.02)
+
+
+class TestSweep:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The class parameter of every minimax_solve call."""
+        calls = []
+        real = chebyshev.minimax_solve
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["n"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chebyshev, "minimax_solve", counting)
+        return calls
+
+    def test_repeat_is_solved_once(self, hyp, torus_set_small, solves):
+        spec = MQ(hyp.dirbasis[0])
+        with chebyshev.sweep():
+            a = chebyshev_solve(hyp, spec, torus_set_small, 3)
+            b = chebyshev_solve(hyp, spec, torus_set_small, 3, SolverOptions())
+            seq = chebyshev_sequence(hyp, spec, torus_set_small, range(2, 5))
+        assert b is a and seq[1] is a
+        assert solves == [3, 2, 4]
+
+    def test_options_and_set_are_part_of_the_key(self, hyp, torus_set_small, disk1_set, solves):
+        spec = Zk(0)
+        with chebyshev.sweep():
+            chebyshev_solve(hyp, spec, torus_set_small, 2)
+            chebyshev_solve(hyp, spec, torus_set_small, 2, SolverOptions(max_iter=50))
+            chebyshev_solve(hyp, spec, disk1_set, 2)
+            chebyshev_solve(hyp, spec, disk1_set, 2)
+        assert solves == [2, 2, 2]
+
+    def test_outside_a_sweep_every_call_solves(self, hyp, torus_set_small, solves):
+        spec = MQ(hyp.dirbasis[0])
+        chebyshev_solve(hyp, spec, torus_set_small, 2)
+        chebyshev_solve(hyp, spec, torus_set_small, 2)
+        with chebyshev.sweep():
+            chebyshev_solve(hyp, spec, torus_set_small, 2)
+        chebyshev_solve(hyp, spec, torus_set_small, 2)
+        assert solves == [2, 2, 2, 2]
+
+    def test_failed_solve_is_not_kept(self, hyp, solves):
+        K = sample(hyp, Z1Disk(1.0, resolution=16))
+        with chebyshev.sweep():
+            for _ in range(2):
+                # the 31 points cannot carry the 39 free elements at n = 20
+                with pytest.warns(UserWarning, match="n=20 failed"):
+                    chebyshev_sequence(hyp, Zk(0), K, [1, 20])
+        assert solves == [1, 20, 20]

@@ -6,7 +6,6 @@ from curvecheb import (
     AbsV1V2Torus,
     BidiskTrace,
     BivarPoly,
-    ParamCurve,
     PointCloud,
     Z1Disk,
     Z2Interval,
@@ -92,10 +91,39 @@ class TestSampling:
             sample(hyp, PointCloud(points=((1.0 + 0j, 1.0 + 0j),)))
 
     def test_param_curve_passthrough(self, hyp):
-        rows = tuple((float(t), np.cosh(t) + 0j, np.sinh(t) + 0j)
-                     for t in np.linspace(-1, 1, 17))
-        K = sample(hyp, ParamCurve(rows=rows))
+        points = tuple((np.cosh(t) + 0j, np.sinh(t) + 0j)
+                       for t in np.linspace(-1, 1, 17))
+        K = sample(hyp, PointCloud(points=points))
         assert len(K) == 17
+
+    def test_dedupe_merges_to_12_decimals_keeping_first_in_order(self):
+        pts = np.array([
+            [0.3 + 0.1j, 0.7 - 0.2j],
+            [-0.5 + 0.0j, 0.25 + 0.5j],
+            [0.3 + 0.1j + 1e-14, 0.7 - 0.2j],      # merges with row 0
+            [-0.5 + 0.0j, 0.25 + 0.5j + 1e-9j],    # stays
+            [0.9 + 0.0j, 0.1 + 0.0j],
+            [-0.5 - 1e-14j, 0.25 + 0.5j],          # merges with row 1
+        ])
+        out = sets._dedupe(pts)
+        assert np.array_equal(out, pts[[0, 1, 3, 4]])
+
+    def test_dedupe_matches_the_loop_reference(self, torus_set_small):
+        def reference(points):
+            seen, out = set(), []
+            for p in points:
+                key = (round(p[0].real, 12), round(p[0].imag, 12),
+                       round(p[1].real, 12), round(p[1].imag, 12))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(p)
+            return np.array(out)
+
+        P = torus_set_small.points
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([P, P * (1 + 1e-15), P[::3] + 1e-9, P[::-2]])
+        pts = pts[rng.permutation(len(pts))]
+        assert np.array_equal(sets._dedupe(pts), reference(pts))
 
 
 def _per_value_roots(curve, z, axis):
