@@ -58,17 +58,17 @@ def main():
         print(f"\n== {name} ({len(K)} sample points) ==")
 
         if curve.dirbasis is not None:
+            logs = []
             for k in range(1, curve.d + 1):
                 seq = chebyshev_sequence(curve, MQ(curve.dirbasis[k - 1]), K,
                                          range(1, args.n_max + 1), opts)
                 est = constant_estimate(seq)
+                logs.append(math.log(est.estimate))
                 print(f"  T(K, lam_{k}) = {est.estimate:.6f}"
                       f"   [{est.lower:.6f}, {est.upper:.6f}]")
             dS, _ = transfinite_diameter(curve, K, BASIS_S, args.leja_depth)
             dC, _ = transfinite_diameter(curve, K, BASIS_C, args.leja_depth)
-            prod = math.exp(np.mean([math.log(constant_estimate(
-                chebyshev_sequence(curve, MQ(v), K, range(1, args.n_max + 1), opts)
-            ).estimate) for v in curve.dirbasis]))
+            prod = math.exp(np.mean(logs))
             print(f"  diameters: S {dS:.4f}  C {dC:.4f}  product {prod:.4f}")
 
         directions = [0j, None] if curve.relaxed else None

@@ -80,11 +80,15 @@ def _canonical_scale(p):
 
 class _Product:
     """Leading term NF(R Q^n), the S basis below its degree free.  A class
-    of this kind gives factors(curve) -> (R, Q), checking its indices."""
+    of this kind gives its prefactor R, which needs no curve, and
+    base(curve) -> Q, checking its indices (by default its own q)."""
+
+    def base(self, curve):
+        return self.q
 
     def parametrize(self, curve, n):
-        r, q = self.factors(curve)
-        leading = normal_form(curve, r * pow_mod(curve, q, n))
+        q = self.base(curve)
+        leading = normal_form(curve, self.prefactor * pow_mod(curve, q, n))
         if leading.is_zero:
             raise ClassSpecError("leading term reduces to zero in the coordinate ring")
         return leading, basis_through_degree(curve, BASIS_S, int(leading.degree) - 1)
@@ -92,8 +96,8 @@ class _Product:
     def leading_values(self, curve, n, K):
         # product form avoids the cancellation incurred by expanding high
         # powers; the values agree with the normal form on the curve
-        r, q = self.factors(curve)
-        return r(K.z1, K.z2) * q(K.z1, K.z2) ** n
+        q = self.base(curve)
+        return self.prefactor(K.z1, K.z2) * q(K.z1, K.z2) ** n
 
 
 class _Position:
@@ -130,8 +134,7 @@ class MQ(_Product):
     def describe(self):
         return f"M({self.q.short()})"
 
-    def factors(self, curve):
-        return BivarPoly.constant(1.0), self.q
+    prefactor = BivarPoly.constant(1.0)
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,9 @@ class MRQ(_Product):
     def describe(self):
         return f"M_{self.r.short()}({self.q.short()})"
 
-    def factors(self, curve):
-        return _canonical_scale(self.r), self.q
+    @property
+    def prefactor(self):
+        return _canonical_scale(self.r)
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,13 @@ class Mz1jVk(_Product):
     def describe(self):
         return f"M_z1^{self.j}(v{self.k})"
 
-    def factors(self, curve):
+    @property
+    def prefactor(self):
+        return BivarPoly.monomial(self.j, 0)
+
+    def base(self, curve):
         _require_direction(curve, "j", self.j, self.k)
-        return BivarPoly.monomial(self.j, 0), curve.dirbasis[self.k - 1]
+        return curve.dirbasis[self.k - 1]
 
 
 @dataclass(frozen=True)
@@ -704,8 +712,9 @@ class ConstantEstimate:
 def constant_estimate(seq, spec=None):
     """Estimate the Chebyshev constant from a sequence of solves.
 
-    Classes closed under multiplication (powers of a single Q) have
-    norm log-subadditivity, so the limit is the inf and min(tn) is used.
+    Product-kind classes with a constant prefactor (the powers of a single
+    Q) are closed under multiplication, so their norms are
+    log-subadditive, the limit is the inf and min(tn) is used.
     Other classes follow log tn = log T + C/deg closely; the tail (last
     ceil(third)) is fit to that model and the intercept reported, which
     removes the O(1/deg) bias a plain tail mean keeps.  The raw tail min
@@ -716,7 +725,7 @@ def constant_estimate(seq, spec=None):
         raise ValueError("need at least 3 solves to estimate a constant")
     spec = spec if spec is not None else seq[0].spec
     values = [(s.n, s.tn) for s in seq]
-    if isinstance(spec, MQ):
+    if isinstance(spec, _Product) and spec.prefactor.degree == 0:
         method = "infRule"
         estimate = min(s.tn for s in seq)
         tail = seq

@@ -348,5 +348,5 @@ def probe_points(curve, radii, count):
     """Points of the curve on |z1| = r circles, for off-set evaluation."""
     per = max(1, count // (len(radii) * max(curve.d, 1)))
     theta = 2.0 * np.pi * (np.arange(per) + 0.37) / per
-    _, z1, z2 = _lift(curve, np.concatenate([r * np.exp(1j * theta) for r in radii]), "z1")
+    _, z1, z2 = _lift(curve.defining, np.concatenate([r * np.exp(1j * theta) for r in radii]), "z1")
     return np.stack([z1, z2], axis=1)[:count]

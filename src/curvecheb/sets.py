@@ -5,11 +5,13 @@ point cloud on the curve.  Sublevel-set descriptors sample only the
 distinguished boundary (the sup of |p| along the one-dimensional analytic
 set is attained there), which keeps sample counts small.
 
-Circles and intervals are lifted through the curve in one batch: the
-companion matrices of P along every fixed coordinate value are stacked and
-solved by a single eigenvalue call, and all roots take one vectorized
-Newton step.  On a circle only the angles whose residual check fails are
-lifted again, half a step further on.
+Every sampler lifts circles or intervals through the curve in one batch:
+the companion matrices of P along every fixed coordinate value are stacked
+and solved by a single eigenvalue call, and all roots take one vectorized
+Newton step.  On a circle only the angles whose residual check fails, or
+that have no root, are lifted again, half a step further on.  The torus is
+the circle |v1| = r1 lifted through P written in the (v1, v2) coordinates,
+keeping the points with |v2| = r2.
 """
 
 from __future__ import annotations
@@ -142,9 +144,11 @@ def _dedupe(points):
 
 
 def _finish(curve, desc, points):
+    """The SampledSet of the (N, 2) complex array points, without repeats,
+    checked against the curve."""
     if not len(points):
         raise SamplingError("empty set")
-    arr = _dedupe(np.array(points, dtype=complex))
+    arr = _dedupe(points)
     res = np.abs(curve.evaluate(arr[:, 0], arr[:, 1]))
     zmax = float(np.max(np.abs(arr)))
     bound = RESIDUAL_REL * (1.0 + zmax ** curve.d)
@@ -156,8 +160,9 @@ def _finish(curve, desc, points):
     return SampledSet(points=arr, descriptor=desc, curve=curve, max_residual=max_res)
 
 
-def _lift(curve, z, axis):
-    """The points of the curve where the coordinate `axis` takes the values z.
+def _lift(P, z, axis):
+    """The points of the curve P = 0 where the coordinate `axis` takes the
+    values z.
 
     Returns flat arrays (row, z1, z2) in (row, root) order, row indexing z,
     with the roots of each row in np.roots order: one batched eigenvalue
@@ -167,7 +172,7 @@ def _lift(curve, z, axis):
     """
     z = np.asarray(z, dtype=complex)
     swap = axis == "z2"     # terms as (power of z, power of the lifted w)
-    terms = [((b, a) if swap else (a, b), c) for (a, b), c in curve.defining.terms.items()]
+    terms = [((b, a) if swap else (a, b), c) for (a, b), c in P.terms.items()]
     deg = max(e for (_, e), _ in terms)
     coeffs = np.zeros((len(z), deg + 1), dtype=complex)
     for (f, e), c in terms:
@@ -191,26 +196,23 @@ def _lift(curve, z, axis):
     return (row, w, zr) if swap else (row, zr, w)
 
 
-def _points(z1, z2):
-    return list(zip(z1.tolist(), z2.tolist()))
+def _lift_circle(P, radius, n_angles, axis):
+    """Lift the circle |z_axis| = radius through the curve P = 0, all branches.
 
-
-def _lift_circle(curve, radius, n_angles, axis):
-    """Lift the circle |z_axis| = radius through the curve, all branches.
-
-    All angles are lifted at once.  An angle whose lifted residual fails
-    (the discriminant-hit case) is retried at a half-step offset; errors
-    out after three retries.
+    Returns the (N, 2) array of points in (angle, root) order.  All angles
+    are lifted at once.  An angle whose lifted residual fails or that has no
+    root (the discriminant-hit case) is retried at a half-step offset;
+    errors out after three retries.
     """
     step = 2.0 * np.pi / n_angles
     zmax_guess = max(1.0, radius * 4.0)
-    tol = RESIDUAL_REL * (1.0 + zmax_guess ** curve.d)
+    tol = RESIDUAL_REL * (1.0 + zmax_guess ** P.degree)
     theta = step * np.arange(n_angles)
     todo = np.arange(n_angles)
     done = []
     for _ in range(4):
-        row, z1, z2 = _lift(curve, radius * np.exp(1j * theta[todo]), axis)
-        bad = np.bincount(row, np.abs(curve.defining(z1, z2)) >= tol, len(todo)) > 0
+        row, z1, z2 = _lift(P, radius * np.exp(1j * theta[todo]), axis)
+        bad = np.bincount(row, np.abs(P(z1, z2)) >= tol, len(todo)) > 0
         bad |= np.bincount(row, minlength=len(todo)) == 0
         keep = ~bad[row]
         done.append((todo[row[keep]], z1[keep], z2[keep]))
@@ -222,15 +224,15 @@ def _lift_circle(curve, radius, n_angles, axis):
         raise SamplingError("root lifting failed after 3 retries")
     angle, z1, z2 = (np.concatenate(x) for x in zip(*done))
     order = np.argsort(angle, kind="stable")
-    return _points(z1[order], z2[order])
+    return np.stack([z1, z2], axis=1)[order]
 
 
 def sample(curve, desc):
     """Discretize the set described by desc on the given curve."""
+    P = curve.defining
     if isinstance(desc, Z1Disk):
         n_angles = max(MIN_RESOLUTION, desc.resolution // max(curve.d, 1))
-        pts = _lift_circle(curve, desc.r, n_angles, axis="z1")
-        return _finish(curve, desc, pts)
+        return _finish(curve, desc, _lift_circle(P, desc.r, n_angles, axis="z1"))
 
     if isinstance(desc, Z2Interval):
         # Chebyshev-Lobatto parameter grid: clusters at the endpoints and is
@@ -239,60 +241,34 @@ def sample(curve, desc):
         half = 0.5 * (desc.hi - desc.lo)
         nseg = max(MIN_RESOLUTION, desc.resolution // max(curve.d, 1))
         xs = mid + half * np.cos(np.pi * np.arange(nseg + 1) / nseg)
-        _, z1, z2 = _lift(curve, xs, axis="z2")
-        return _finish(curve, desc, _points(z1, z2))
+        _, z1, z2 = _lift(P, xs, axis="z2")
+        return _finish(curve, desc, np.stack([z1, z2], axis=1))
 
     if isinstance(desc, AbsV1V2Torus):
         curve.require_directional("torus descriptor")
         if curve.d != 2:
             raise SamplingError("torus descriptor requires a degree-2 curve")
-        v1, v2 = curve.dirbasis
-        # v1, v2 are linear homogeneous; invert the coordinate change
-        M = np.array(
-            [[v1.coeff(1, 0), v1.coeff(0, 1)], [v2.coeff(1, 0), v2.coeff(0, 1)]],
-            dtype=complex,
-        )
+        # v1, v2 are linear homogeneous: write P in (v1, v2) through the
+        # inverse coordinate change, lift |v1| = r1 and keep |v2| = r2
+        M = np.array([[v.coeff(1, 0), v.coeff(0, 1)] for v in curve.dirbasis], dtype=complex)
         Minv = np.linalg.inv(M)
-        pts = []
-        ts = 2.0 * np.pi * np.arange(desc.resolution) / desc.resolution
-        for t in ts:
-            c = desc.r1 * np.exp(1j * t)
-            # P restricted to the line v1 = c, as a polynomial in w = v2
-            zc = Minv @ np.array([c, 0.0])
-            zw = Minv @ np.array([0.0, 1.0])
-            coeffs = {}
-            for (a, b), cf in curve.defining.terms.items():
-                # (zc1 + w*zw1)^a (zc2 + w*zw2)^b expanded via convolution
-                pa = np.polynomial.polynomial.polypow([zc[0], zw[0]], a) if a else np.array([1.0 + 0j])
-                pb = np.polynomial.polynomial.polypow([zc[1], zw[1]], b) if b else np.array([1.0 + 0j])
-                conv = np.convolve(pa, pb) * cf
-                for k, v in enumerate(conv):
-                    coeffs[k] = coeffs.get(k, 0j) + v
-            kmax = max(coeffs)
-            poly = np.array([coeffs.get(k, 0j) for k in range(kmax, -1, -1)])
-            poly = np.trim_zeros(poly, "f")
-            if len(poly) <= 1:
-                continue
-            for w in np.roots(poly):
-                if abs(abs(w) - desc.r2) <= 1e-6 * max(1.0, desc.r2):
-                    z = Minv @ np.array([c, w])
-                    pts.append((complex(z[0]), complex(z[1])))
-        return _finish(curve, desc, pts)
+        z1, z2 = (BivarPoly({(1, 0): a, (0, 1): b}) for a, b in Minv)
+        Q = sum(c * z1 ** a * z2 ** b for (a, b), c in P.terms.items())
+        v = _lift_circle(Q, desc.r1, desc.resolution, axis="z1")
+        v = v[np.abs(np.abs(v[:, 1]) - desc.r2) <= 1e-6 * max(1.0, desc.r2)]
+        return _finish(curve, desc, v @ Minv.T)
 
     if isinstance(desc, BidiskTrace):
         half = max(MIN_RESOLUTION // 2, desc.resolution // 2)
-        pts = []
-        for p1, p2 in _lift_circle(curve, desc.r1, half, axis="z1"):
-            if abs(p2) <= desc.r2 * (1.0 + 1e-9):
-                pts.append((p1, p2))
-        for p1, p2 in _lift_circle(curve, desc.r2, half, axis="z2"):
-            if abs(p1) <= desc.r1 * (1.0 + 1e-9):
-                pts.append((p1, p2))
-        return _finish(curve, desc, pts)
+        on1 = _lift_circle(P, desc.r1, half, axis="z1")
+        on2 = _lift_circle(P, desc.r2, half, axis="z2")
+        return _finish(curve, desc, np.concatenate([
+            on1[np.abs(on1[:, 1]) <= desc.r2 * (1.0 + 1e-9)],
+            on2[np.abs(on2[:, 0]) <= desc.r1 * (1.0 + 1e-9)],
+        ]))
 
     if isinstance(desc, PointCloud):
-        pts = [(complex(z1), complex(z2)) for (z1, z2) in desc.points]
-        return _finish(curve, desc, pts)
+        return _finish(curve, desc, np.array(desc.points, dtype=complex))
 
     raise TypeError(f"unknown set descriptor {type(desc).__name__}")
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecheb import BivarPoly, Z1Disk, sample, sup_norm
+from curvecheb import BivarPoly, Z1Disk, Z2Interval, sample, sup_norm
 from curvecheb import chebyshev
 from curvecheb.polyring import BASIS_S, basis_through_degree, pow_mod
 from curvecheb.sets import PointCloud
@@ -327,6 +327,19 @@ class TestSequencesAndEstimates:
         solves = [s for seq in seqs for s in seq]
         assert len(solves) == 51
         assert all(s.converged and s.gap <= opts.tol * s.norm for s in solves)
+
+    def test_constant_prefactor_product_classes_share_the_inf_rule(self, hyp):
+        # MQ(v1), z1^0 v1^n and the constant-prefactor R Q^n are one family;
+        # the estimate follows the class kind, not the type
+        K = sample(hyp, Z2Interval(-1.0, 1.0, resolution=256))
+        specs = [MQ(hyp.dirbasis[0]), Mz1jVk(0, 1), MRQ(BivarPoly.constant(3.0), hyp.dirbasis[0])]
+        ests = [constant_estimate(chebyshev_sequence(hyp, spec, K, range(1, 9))) for spec in specs]
+        assert [e.method for e in ests] == ["infRule"] * 3
+        assert ests[1].estimate == ests[2].estimate == ests[0].estimate
+        assert ests[0].estimate == pytest.approx(0.5693, abs=1e-4)
+        # a prefactor of positive degree keeps the tail fit
+        seq = chebyshev_sequence(hyp, MRQ(Z2, Z1), K, range(1, 9))
+        assert constant_estimate(seq).method == "tailMean"
 
     def test_tail_mean_for_ordered_classes(self, hyp, torus_set):
         seq = chebyshev_sequence(hyp, Zk(0), torus_set, range(1, 13))

@@ -13,6 +13,7 @@ from curvecheb import (
     sup_norm,
 )
 from curvecheb import sets
+from curvecheb.gallery import hyperbola
 from curvecheb.sets import SamplingError, read_point_cloud, write_point_cloud
 
 
@@ -69,6 +70,17 @@ class TestSampling:
         # eps = 0.25 > r1 * r2 leaves no trace
         with pytest.raises(SamplingError, match="empty set"):
             sample(aeps, BidiskTrace(0.4, 0.4, resolution=32))
+
+    def test_bidisk_masks_both_circles(self, cubic7):
+        r1, r2 = 1.0, 1.0
+        K = sample(cubic7, BidiskTrace(r1, r2, resolution=256))
+        on1 = np.isclose(np.abs(K.z1), r1, rtol=0, atol=1e-12)
+        on2 = np.isclose(np.abs(K.z2), r2, rtol=0, atol=1e-12)
+        assert np.all(on1 | on2) and on1.any() and on2.any()
+        assert np.all(np.abs(K.z2[on1]) <= r2 * (1 + 1e-9))
+        assert np.all(np.abs(K.z1[on2]) <= r1 * (1 + 1e-9))
+        # both masks drop points: each circle lifts 3 x 128
+        assert on1.sum() < 3 * 128 and on2.sum() < 3 * 128
 
     def test_z1disk_stays_on_circle(self, hyp):
         K = sample(hyp, Z1Disk(1.3, resolution=64))
@@ -147,11 +159,59 @@ def _per_value_roots(curve, z, axis):
     return np.array(pts)
 
 
+def _per_angle_torus(curve, desc):
+    """Reference torus sample: at each angle, P restricted to the line
+    v1 = r1 e^(it), expanded as a polynomial in w = v2 and solved by
+    np.roots; the roots with |w| = r2 are mapped back to (z1, z2)."""
+    v1, v2 = curve.dirbasis
+    M = np.array(
+        [[v1.coeff(1, 0), v1.coeff(0, 1)], [v2.coeff(1, 0), v2.coeff(0, 1)]],
+        dtype=complex,
+    )
+    Minv = np.linalg.inv(M)
+    pts = []
+    ts = 2.0 * np.pi * np.arange(desc.resolution) / desc.resolution
+    for t in ts:
+        c = desc.r1 * np.exp(1j * t)
+        zc = Minv @ np.array([c, 0.0])
+        zw = Minv @ np.array([0.0, 1.0])
+        coeffs = {}
+        for (a, b), cf in curve.defining.terms.items():
+            pa = np.polynomial.polynomial.polypow([zc[0], zw[0]], a) if a else np.array([1.0 + 0j])
+            pb = np.polynomial.polynomial.polypow([zc[1], zw[1]], b) if b else np.array([1.0 + 0j])
+            for k, v in enumerate(np.convolve(pa, pb) * cf):
+                coeffs[k] = coeffs.get(k, 0j) + v
+        poly = np.array([coeffs.get(k, 0j) for k in range(max(coeffs), -1, -1)])
+        poly = np.trim_zeros(poly, "f")
+        if len(poly) <= 1:
+            continue
+        for w in np.roots(poly):
+            if abs(abs(w) - desc.r2) <= 1e-6 * max(1.0, desc.r2):
+                pts.append(Minv @ np.array([c, w]))
+    return sets._dedupe(np.array(pts))
+
+
+class TestTorusLift:
+    @pytest.mark.parametrize("gamma, desc", [
+        (1.0, AbsV1V2Torus(0.5, 0.5, resolution=64)),
+        (1.0, AbsV1V2Torus(0.5, 0.5, resolution=512)),
+        (1.0, AbsV1V2Torus(0.5, 0.5, resolution=1024)),
+        (2.0, AbsV1V2Torus(1.0, 0.5, resolution=512)),
+    ])
+    def test_matches_per_angle_roots(self, gamma, desc):
+        curve = hyperbola(gamma)
+        K = sample(curve, desc)
+        ref = _per_angle_torus(curve, desc)
+        # same count, same (angle, root) order
+        assert K.points.shape == ref.shape
+        assert np.max(np.abs(K.points - ref)) <= 1e-15
+
+
 class TestBatchedLift:
     @pytest.mark.parametrize("axis", ["z1", "z2"])
     def test_matches_per_value_roots(self, cubic7, axis):
         z = 1.2 * np.exp(2j * np.pi * np.arange(97) / 97)
-        row, z1, z2 = sets._lift(cubic7, z, axis)
+        row, z1, z2 = sets._lift(cubic7.defining, z, axis)
         ref = _per_value_roots(cubic7, z, axis)
         assert len(z1) == len(ref) == 3 * len(z)
         assert np.array_equal(row, np.repeat(np.arange(len(z)), 3))
@@ -159,7 +219,7 @@ class TestBatchedLift:
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
     def test_circle_keeps_angle_then_root_order(self, cubic7):
-        pts = np.array(sets._lift_circle(cubic7, 1.2, 64, "z1"))
+        pts = np.array(sets._lift_circle(cubic7.defining, 1.2, 64, "z1"))
         z = 1.2 * np.exp(1j * (2.0 * np.pi / 64) * np.arange(64))
         ref = _per_value_roots(cubic7, z, "z1")
         assert pts.shape == ref.shape
@@ -171,8 +231,8 @@ class TestBatchedLift:
         lift = sets._lift
         seen = []
 
-        def corrupted(curve, z, axis):
-            row, z1, z2 = lift(curve, z, axis)
+        def corrupted(P, z, axis):
+            row, z1, z2 = lift(P, z, axis)
             seen.append(z.copy())
             if len(seen) <= calls:
                 z2 = np.where(row == 0, z2 + 1.0, z2)
@@ -182,20 +242,20 @@ class TestBatchedLift:
         return seen
 
     def test_failing_angle_retried_at_half_step(self, monkeypatch, cubic7):
-        clean = sets._lift_circle(cubic7, 1.2, 32, "z1")
+        clean = sets._lift_circle(cubic7.defining, 1.2, 32, "z1")
         seen = self._corrupt_first_angle(monkeypatch, calls=1)
-        pts = sets._lift_circle(cubic7, 1.2, 32, "z1")
+        pts = sets._lift_circle(cubic7.defining, 1.2, 32, "z1")
         # only the failing angle is lifted again, half a step further on
         assert [len(z) for z in seen] == [32, 1]
         assert seen[1][0] == pytest.approx(1.2 * np.exp(1j * np.pi / 32), abs=1e-15)
         assert len(pts) == len(clean)
         assert all(p[0] == pytest.approx(seen[1][0], abs=1e-15) for p in pts[:3])
-        assert pts[3:] == clean[3:]
+        assert np.array_equal(pts[3:], clean[3:])
 
     def test_three_failed_retries_raise(self, monkeypatch, cubic7):
         seen = self._corrupt_first_angle(monkeypatch, calls=4)
         with pytest.raises(SamplingError, match="after 3 retries"):
-            sets._lift_circle(cubic7, 1.2, 32, "z1")
+            sets._lift_circle(cubic7.defining, 1.2, 32, "z1")
         assert [len(z) for z in seen] == [32, 1, 1, 1]
 
 
