@@ -13,9 +13,12 @@ cone program: minimise t subject to |f_i + (G c)_i| <= t, one 3-dimensional
 cone per sample point.  It is solved by a primal-dual interior-point method
 with Mehrotra predictor-corrector steps and Nesterov-Todd scaling.  The
 first iteration is the uniform-weight least squares step, which is also the
-starting point; each further iteration factors the scaled design by a QR
-taken over the sample points in chunks.  f is divided by its sup norm
-before the solve, so the iterates do not depend on the scale of f.
+starting point.  While the duality gap s^T z is above NORMAL_GAP * t, each
+further iteration Cholesky-factors the Newton matrix A^T W^-2 A, summed over
+the sample points in chunks straight from the complex design; closer to the
+optimum, or when that matrix is numerically singular, it factors the scaled
+design W^-1 A by a QR taken over the same chunks.  f is divided by its sup
+norm before the solve, so the iterates do not depend on the scale of f.
 SolverOptions.max_iter caps the number of iterations, the least squares
 step included.
 
@@ -27,6 +30,8 @@ is converged when norm <= lb * (1 + tol), and gap = norm - lb.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -221,8 +226,12 @@ class SolverOptions:
     ridge: float = 1e-12
 
     def validated(self):
-        if self.max_iter < 1 or self.tol <= 0 or self.ridge <= 0:
-            raise ValueError("solver options must be positive")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
+        for name in ("tol", "ridge"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
         return self
 
 
@@ -296,9 +305,10 @@ def basis_values(curve, elements, K):
 
 EPS = np.finfo(float).eps
 T0 = 1.5                # starting t over the least squares max modulus
-CHUNK_POINTS = 128      # sample points per block of design rows fed to a QR
+CHUNK_POINTS = 128      # sample points per block of design rows
 STEP = 0.99             # fraction of the step to the cone boundary taken
 SINGULAR_RATIO = 1e-14  # min/max |R_jj| below which R counts as singular
+NORMAL_GAP = 1e-6       # s^T z / t above which Newton matrices are Cholesky-factored
 
 
 def _dot(u0, u1, v0, v1):
@@ -441,6 +451,50 @@ def _scaled_design_blocks(G, W):
         yield B
 
 
+def _normal_factor(G, W):
+    """Upper Cholesky factor of the Newton matrix M = A^T W^-2 A.
+
+    Per point W^-2 = D (2 w w^T - J) with D = beta^-2, w = (w0, -w1) and
+    J = diag(1, -1, -1), so M is the real form of G^H D G in the c block,
+    plus U^T U with rows sqrt(2 D) (w0, -Re h, Im h), h = conj(w1) G, minus
+    sum D in the t entry.  M is accumulated over the chunks and is never
+    held as rows.  Raises LinAlgError when M is not numerically positive
+    definite.
+    """
+    m = G.shape[1]
+    M = np.zeros((2 * m + 1, 2 * m + 1))
+    H = np.zeros((m, m), dtype=complex)
+    for sl in _chunks(len(G)):
+        d = W.beta[sl] ** -2
+        g = G[sl]
+        H += (g.conj().T * d) @ g
+        h = g * W.w1[sl].conj()[:, None]
+        U = np.empty((len(d), 2 * m + 1))
+        U[:, 0], U[:, 1:m + 1], U[:, m + 1:] = W.w0[sl], -h.real, h.imag
+        U *= np.sqrt(2.0 * d)[:, None]
+        M += U.T @ U
+    M[0, 0] -= np.sum(W.beta ** -2)
+    M[1:m + 1, 1:m + 1] += H.real
+    M[1:m + 1, m + 1:] -= H.imag
+    M[m + 1:, 1:m + 1] += H.imag
+    M[m + 1:, m + 1:] += H.real
+    return np.linalg.cholesky(M).T
+
+
+def _normal_inverse(G, W):
+    """Inverse of the factor of _normal_factor, or None when M is
+    numerically singular: its factorization fails, or cond(M), estimated
+    as (|R|_F |R^-1|_F)^2, is not below 1/eps."""
+    try:
+        R = _normal_factor(G, W)
+    except np.linalg.LinAlgError:
+        return None
+    Ri = np.linalg.inv(R)
+    if not EPS * (np.linalg.norm(R) * np.linalg.norm(Ri)) ** 2 < 1.0:
+        return None
+    return Ri
+
+
 def _minimax(G, f, opts):
     """Discrete complex minimax min_c max_i |f_i + (G c)_i| with max |f| = 1.
 
@@ -466,6 +520,7 @@ def _minimax(G, f, opts):
     converged = best_ub <= lb * (1.0 + tol)
     t *= T0
     z0, z1 = np.full(npts, 1.0 / npts), np.zeros(npts, dtype=complex)
+    gap = t     # s^T z
 
     while not converged and iterations < opts.max_iter:
         # stop where rounding takes over: s or z on the boundary, or, as
@@ -475,8 +530,19 @@ def _minimax(G, f, opts):
         iterations += 1
         W = _NTScaling(np.full(npts, t), r, z0, z1)
         lam0, lam1 = W.lam
-        R, used = _regularized(_r_factor(_scaled_design_blocks(G, W), n), n, opts.ridge)
-        ridge_used = ridge_used or used
+        # far from the optimum the normal equations are accurate enough and
+        # much cheaper; near it, and where M is numerically singular, the
+        # Newton systems go through the R factor of W^-1 A
+        Ri = _normal_inverse(G, W) if gap > NORMAL_GAP * t else None
+        if Ri is None:
+            R, used = _regularized(_r_factor(_scaled_design_blocks(G, W), n), n, opts.ridge)
+            ridge_used = ridge_used or used
+
+        def solve(rhs):
+            """x with R^T R x = rhs."""
+            if Ri is not None:
+                return Ri @ (Ri.T @ rhs)
+            return np.linalg.solve(R, np.linalg.solve(R.T, rhs))
         res_t, res_c = float(np.sum(z0)) - 1.0, gh(z1)      # A^T z - e_t
 
         def newton(u0, u1):
@@ -485,7 +551,7 @@ def _minimax(G, f, opts):
             v0, v1 = W.inverse(u0, u1)
             rc = gh(v1) + res_c
             rhs = np.concatenate([[np.sum(v0) + res_t], rc.real, rc.imag])
-            dx = np.linalg.solve(R, np.linalg.solve(R.T, rhs))
+            dx = solve(rhs)
             dc = dx[1:m + 1] + 1j * dx[m + 1:]
             gdc = G @ dc
             ds0, ds1 = W.inverse(np.full(npts, dx[0]), gdc)
@@ -524,7 +590,7 @@ def _minimax(G, f, opts):
         ub = float(np.max(np.abs(f + G @ c)))
         if ub < best_ub:
             best_c, best_ub = c, ub
-        gap = t * float(np.sum(z0)) + float(np.sum((r.conj() * z1).real))   # s^T z
+        gap = t * float(np.sum(z0)) + float(np.sum((r.conj() * z1).real))
         stalled = False
         if gap <= tol * t:
             cw, lbw, used = _wls(G, f, z0 / np.sum(z0), opts.ridge)

@@ -94,8 +94,10 @@ class RunConfig:
         if not isinstance(set_spec, dict) or "kind" not in set_spec:
             raise ConfigError("config needs a set entry with a kind")
         solver = doc.get("solver", {})
+        max_iter = float(solver.get("max_iter", 500))
         opts = SolverOptions(
-            max_iter=int(solver.get("max_iter", 500)),
+            # a fractional count is kept so that validation rejects it
+            max_iter=int(max_iter) if max_iter.is_integer() else max_iter,
             tol=float(solver.get("tol", 1e-8)),
             ridge=float(solver.get("ridge", 1e-12)),
         )
@@ -254,9 +256,10 @@ def cmd_cheb(cfg, out, class_text, n_min, n_max, allow_unconverged):
         raise ConfigError("empty parameter range")
     K = sample(curve, cfg.build_descriptor())
     seq = chebyshev_sequence(curve, spec, K, range(n_min, n_max + 1), cfg.solver)
-    lines = ["class\tn\tnorm\ttn"]
+    lines = ["class\tn\tnorm\ttn\titers\tgap\tconverged"]
     for s in seq:
-        lines.append(f"{spec.describe()}\t{s.n}\t{_fmt(s.norm)}\t{_fmt(s.tn)}")
+        lines.append(f"{spec.describe()}\t{s.n}\t{_fmt(s.norm)}\t{_fmt(s.tn)}"
+                     f"\t{s.iterations}\t{_fmt(s.gap)}\t{str(s.converged).lower()}")
     print("\n".join(lines))
     if out:
         _write_lines(Path(out) / "cheb_table.tsv", lines)

@@ -223,6 +223,65 @@ def cloud12(hyp):
     return K, basis_through_degree(hyp, BASIS_S, 3)
 
 
+def _random_scaling(rng, npts):
+    """Nesterov-Todd scaling of a random interior pair (s, z)."""
+    s1 = rng.normal(size=npts) + 1j * rng.normal(size=npts)
+    z1 = rng.normal(size=npts) + 1j * rng.normal(size=npts)
+    s0 = np.abs(s1) * (1.0 + rng.random(npts)) + 1e-3
+    z0 = np.abs(z1) * (1.0 + rng.random(npts)) + 1e-3
+    return chebyshev._NTScaling(s0, s1, z0, z1)
+
+
+class TestNewtonFactor:
+    @pytest.mark.parametrize("npts, m, seed", [(40, 5, 0), (300, 12, 1), (9, 0, 2), (1023, 36, 3)])
+    def test_normal_factor_matches_the_chunked_qr(self, npts, m, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
+        W = _random_scaling(rng, npts)
+        R = chebyshev._normal_factor(G, W)
+        Q = chebyshev._r_factor(chebyshev._scaled_design_blocks(G, W), 2 * m + 1)
+        M = Q.T @ Q
+        assert np.array_equal(R, np.triu(R))
+        assert np.linalg.norm(R.T @ R - M) <= 1e-12 * np.linalg.norm(M)
+
+    def test_numerically_singular_newton_matrix_is_refused(self):
+        rng = np.random.default_rng(4)
+        G = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+        W = _random_scaling(rng, 200)
+        Ri = chebyshev._normal_inverse(G, W)
+        assert np.allclose(Ri @ chebyshev._normal_factor(G, W), np.eye(7))
+        # two columns equal to 1e-6: the factorization succeeds but
+        # cond(M) is past 1/eps; equal to 1e-10: the factorization fails
+        for rel in (1e-6, 1e-10):
+            G[:, 2] = G[:, 1] * (1.0 + rel)
+            assert chebyshev._normal_inverse(G, W) is None
+
+    def test_normal_equations_keep_the_qr_only_solve(self, cubic7, monkeypatch):
+        K = sample(cubic7, Z1Disk(1.2, resolution=1024))
+        opts = SolverOptions(max_iter=300)
+        calls = []
+        factor = chebyshev._normal_factor
+        monkeypatch.setattr(chebyshev, "_normal_factor",
+                            lambda G, W: calls.append(None) or factor(G, W))
+        fast = chebyshev_solve(cubic7, Zk(1), K, 8, opts)
+        n_fast = len(calls)
+        # with an infinite threshold every Newton matrix comes from the QR
+        monkeypatch.setattr(chebyshev, "NORMAL_GAP", np.inf)
+        ref = chebyshev_solve(cubic7, Zk(1), K, 8, opts)
+        assert n_fast > 0 and len(calls) == n_fast
+        assert fast.converged and ref.converged
+        assert fast.iterations == ref.iterations
+        assert abs(fast.norm - ref.norm) <= 1e-10 * ref.norm
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 1.7}, {"max_iter": 0}, {"tol": np.inf}, {"tol": np.nan},
+        {"tol": 0.0}, {"ridge": np.inf}, {"ridge": -1.0},
+    ])
+    def test_bad_solver_options_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverOptions(**kwargs).validated()
+
+
 def _solve_fg(cloud, f, G, opts=None):
     K, basis = cloud
     return minimax_solve(BivarPoly.monomial(4, 0), basis[:G.shape[1]], K, opts,

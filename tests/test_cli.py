@@ -136,6 +136,45 @@ class TestCheb:
         assert main(["cheb", "--config", cfg, "--class", "mv:1",
                      "--n-max", "4", "--allow-unconverged"]) == 0
 
+    def test_table_reports_solver_health(self, capsys, tmp_path, torus_config):
+        out = tmp_path / "out"
+        assert main(["cheb", "--config", torus_config, "--class", "zk:1",
+                     "--n-max", "4", "--out", str(out)]) == 0
+        lines = (out / "cheb_table.tsv").read_text().splitlines()
+        assert lines == capsys.readouterr().out.splitlines()
+        assert lines[0].split("\t") == ["class", "n", "norm", "tn", "iters", "gap", "converged"]
+        assert len(lines) == 5
+        for row in lines[1:]:
+            _, _, norm, _, iters, gap, converged = row.split("\t")
+            assert int(iters) >= 1
+            assert 0.0 <= float(gap) <= 1e-8 * float(norm)
+            assert converged == "true"
+
+    def test_table_marks_unconverged_solves(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "hard.json",
+                           set={"kind": "z2interval", "lo": -1.0, "hi": 1.0},
+                           solver={"max_iter": 2, "tol": 1e-14})
+        assert main(["cheb", "--config", cfg, "--class", "mv:1",
+                     "--n-max", "4", "--allow-unconverged"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split("\t")[4] for r in rows] == ["2"] * 4
+        assert any(r.split("\t")[6] == "false" for r in rows)
+
+    @pytest.mark.parametrize("solver, message", [
+        ({"tol": float("inf")}, "tol must be positive and finite"),
+        ({"tol": float("nan")}, "tol must be positive and finite"),
+        ({"max_iter": 1.7}, "max_iter must be a positive integer"),
+        ({"ridge": float("inf")}, "ridge must be positive and finite"),
+    ])
+    def test_bad_solver_settings_invalid(self, capsys, tmp_path, solver, message):
+        cfg = write_config(tmp_path / "solver.json", solver=solver)
+        assert main(["cheb", "--config", cfg, "--class", "mv:1", "--n-max", "3"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_max_iter_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "solver.json", solver={"max_iter": 300.0})
+        assert main(["cheb", "--config", cfg, "--class", "mv:1", "--n-max", "3"]) == 0
+
 
 class TestSampleAndTfd:
     def test_sample_writes_cloud(self, tmp_path, torus_config):
