@@ -8,22 +8,25 @@ minimal sup norms over a SampledSet, n being the degree of the leading term
 in the coordinate ring; constants are estimated from sequences of such
 solves.  Inside a sweep(), as in `curvecheb verify`, each is solved once.
 
-The minimax subproblem min_c max_i |f_i + (G c)_i| is the second-order
-cone program: minimise t subject to |f_i + (G c)_i| <= t, one 3-dimensional
-cone per sample point.  It is solved by a primal-dual interior-point method
-with Mehrotra predictor-corrector steps and Nesterov-Todd scaling.  The
-first iteration is the uniform-weight least squares step, which is also the
-starting point.  While the duality gap s^T z is above NORMAL_GAP * t, each
-further iteration Cholesky-factors the Newton matrix A^T W^-2 A, summed over
-the sample points in chunks straight from the complex design; closer to the
-optimum, or when that matrix is numerically singular, it factors the scaled
-design W^-1 A by a QR taken over the same chunks.  f is divided by its sup
-norm before the solve, so the iterates do not depend on the scale of f.
-SolverOptions.max_iter caps the number of iterations, the least squares
-step included.
+The minimax subproblem min_c max_i |f_i + (G c)_i| is solved on one thin
+QR of the design, G = Q R, after one rank decision: a column with a
+negligible |R_jj| is dropped (coefficient 0, recorded as ridge_used).  With
+f = Q fq + f', f' orthogonal to range(Q) and scaled to sup norm 1, it is
+min_u max_i |f'_i + (Q u)_i| in u = R c + fq, and norms and bounds are read
+off there, never from f + G c, which cancels when |f| >> norm.  That is the
+second-order cone program: minimise t subject to |f'_i + (Q u)_i| <= t, one
+3-dimensional cone per sample point, solved by a primal-dual interior-point
+method with Mehrotra predictor-corrector steps and Nesterov-Todd scaling.
+Its first iteration, the start, is the closed-form uniform-weight least
+squares point u = 0.  While the duality gap s^T z is above NORMAL_GAP * t,
+each further iteration Cholesky-factors the Newton matrix A^T W^-2 A,
+summed over chunks of sample points; closer to the optimum, or when that
+matrix is numerically singular, it factors W^-1 A by a QR over the same
+chunks.  SolverOptions.max_iter caps the iterations, the first included.
 
-Every iterate's max modulus is an upper bound.  The certificate is a lower
-bound: the weighted least squares value with the dual weights z_i0 (summing
+Every iterate's max modulus is an upper bound, and so is the bare leading
+term's.  The certificate is a lower bound: sqrt(mean |f'|^2) at the start,
+then the weighted least squares value with the dual weights z_i0 (summing
 to 1), taken once the method's own duality gap is below tol * t.  A solve
 is converged when norm <= lb * (1 + tol), and gap = norm - lb.
 """
@@ -217,21 +220,18 @@ class TildeMl(_Position):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """max_iter caps the interior-point iterations of a solve, the least
-    squares start included; tol is the relative certified gap a converged
-    solve must reach; ridge regularizes numerically singular designs."""
+    """max_iter caps the interior-point iterations of a solve, the
+    closed-form first one included; tol is the relative certified gap a
+    converged solve must reach."""
 
     max_iter: int = 500
     tol: float = 1e-8
-    ridge: float = 1e-12
 
     def validated(self):
         if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
-        for name in ("tol", "ridge"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
         return self
 
 
@@ -245,7 +245,7 @@ class ChebSolve:
     tn: float
     iterations: int
     converged: bool
-    ridge_used: bool = False
+    ridge_used: bool = False    # the design was numerically rank deficient and columns were dropped
     gap: float = 0.0            # certified optimality gap: norm - lower bound
     coeffs: np.ndarray = field(default=None, repr=False)
 
@@ -304,10 +304,10 @@ def basis_values(curve, elements, K):
 # primal slack is s = (t, f + G c), the dual variable z = (z0, zeta).
 
 EPS = np.finfo(float).eps
-T0 = 1.5                # starting t over the least squares max modulus
+T0 = 1.5                # starting t over the max modulus of f
 CHUNK_POINTS = 128      # sample points per block of design rows
 STEP = 0.99             # fraction of the step to the cone boundary taken
-SINGULAR_RATIO = 1e-14  # min/max |R_jj| below which R counts as singular
+SINGULAR_RATIO = 1e-14  # |R_jj| / max |R_ii| at or below which a column is dropped
 NORMAL_GAP = 1e-6       # s^T z / t above which Newton matrices are Cholesky-factored
 
 
@@ -379,19 +379,6 @@ def _r_factor(blocks, ncols):
     return R
 
 
-def _regularized(R, k, ridge):
-    """R, or the R factor of [R; sqrt(tau) [I_k 0]] when its leading
-    k-by-k triangle is numerically singular; tau is ridge times the largest
-    squared column norm.  The flag says whether the ridge was applied."""
-    diag = np.abs(np.diag(R)[:k])
-    if k == 0 or np.min(diag) > SINGULAR_RATIO * np.max(diag):
-        return R, False
-    tau = ridge * max(float(np.max(np.sum(R[:, :k] ** 2, axis=0))), 1e-300)
-    pad = np.zeros((k, R.shape[1]))
-    pad[:, :k] = np.sqrt(tau) * np.eye(k)
-    return _r_factor([R, pad], R.shape[1]), True
-
-
 def _chunks(npts):
     return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, npts, CHUNK_POINTS))
 
@@ -409,26 +396,18 @@ def _wls_blocks(G, f, sw):
         yield B
 
 
-def _wls(G, f, w, ridge):
+def _wls(G, f, w):
     """Weighted least squares: argmin_c sum_i w_i |f_i + (G c)_i|^2.
 
-    Returns (c, lb, ridge_used), where lb is the weighted residual norm and,
-    as sum w = 1, a lower bound of the discrete minimax.  It is read off the
-    R factor of [G f] (its last diagonal entry), which stays accurate when
-    |f| is far above the residual.  When G is numerically rank deficient, c
-    is the ridge solution and lb its residual norm: rounding noise in the
-    dependent columns would otherwise count as a direction of the family.
+    Returns (c, lb), where lb is the weighted residual norm and, as
+    sum w = 1, a lower bound of the discrete minimax.  It is read off the R
+    factor of [G f] (its last diagonal entry), which stays accurate when |f|
+    is far above the residual.
     """
     m = G.shape[1]
     R = _r_factor(_wls_blocks(G, f, np.sqrt(w)), 2 * m + 1)
-    Rc, used = _regularized(R[:-1], 2 * m, ridge)
-    x = -np.linalg.solve(Rc[:2 * m, :2 * m], Rc[:2 * m, -1]) if m else np.zeros(0)
-    c = x[:m] + 1j * x[m:]
-    if used:
-        lb = float(np.sqrt(np.sum(w * np.abs(f + G @ c) ** 2)))
-    else:
-        lb = abs(float(R[-1, -1]))
-    return c, lb, used
+    x = -np.linalg.solve(R[:2 * m, :2 * m], R[:2 * m, -1]) if m else np.zeros(0)
+    return x[:m] + 1j * x[m:], abs(float(R[-1, -1]))
 
 
 def _scaled_design_blocks(G, W):
@@ -495,12 +474,13 @@ def _normal_inverse(G, W):
     return Ri
 
 
-def _minimax(G, f, opts):
-    """Discrete complex minimax min_c max_i |f_i + (G c)_i| with max |f| = 1.
+def _minimax(G, f, seed, opts):
+    """Discrete complex minimax min_c max_i |f_i + (G c)_i|, where G has
+    orthogonal columns, f is orthogonal to them and max |f| = 1.
 
-    Returns (c, norm, lb, iterations, converged, ridge_used): the best
-    coefficients found, their max modulus, a certified lower bound of the
-    minimum, and the solve's bookkeeping.
+    Returns (c, norm, lb, iterations, converged): the best coefficients
+    found, the seed c included, their max modulus, a certified lower bound
+    of the minimum, and the solve's bookkeeping.
     """
     npts, m = G.shape
     n = 2 * m + 1
@@ -509,11 +489,11 @@ def _minimax(G, f, opts):
     def gh(v):
         return (v.conj() @ G).conj()    # G^H v without a conjugate copy of G
 
-    # iteration 1: uniform-weight least squares, also the starting point
-    c, lb, ridge_used = _wls(G, f, np.full(npts, 1.0 / npts), opts.ridge)
-    best_c, best_ub = np.zeros(m, dtype=complex), float(np.max(np.abs(f)))
-    r = f + G @ c
-    t = float(np.max(np.abs(r)))
+    # iteration 1: as f is orthogonal to range(G), the uniform-weight least
+    # squares point is c = 0, with residual f; it is also the starting point
+    best_c, best_ub = seed, float(np.max(np.abs(f + G @ seed)))
+    c, r = np.zeros(m, dtype=complex), f
+    t, lb = float(np.max(np.abs(f))), float(np.sqrt(np.mean(np.abs(f) ** 2)))
     if t < best_ub:
         best_c, best_ub = c, t
     iterations = 1
@@ -535,8 +515,7 @@ def _minimax(G, f, opts):
         # Newton systems go through the R factor of W^-1 A
         Ri = _normal_inverse(G, W) if gap > NORMAL_GAP * t else None
         if Ri is None:
-            R, used = _regularized(_r_factor(_scaled_design_blocks(G, W), n), n, opts.ridge)
-            ridge_used = ridge_used or used
+            R = _r_factor(_scaled_design_blocks(G, W), n)
 
         def solve(rhs):
             """x with R^T R x = rhs."""
@@ -593,8 +572,7 @@ def _minimax(G, f, opts):
         gap = t * float(np.sum(z0)) + float(np.sum((r.conj() * z1).real))
         stalled = False
         if gap <= tol * t:
-            cw, lbw, used = _wls(G, f, z0 / np.sum(z0), opts.ridge)
-            ridge_used = ridge_used or used
+            cw, lbw = _wls(G, f, z0 / np.sum(z0))
             ubw = float(np.max(np.abs(f + G @ cw)))
             if ubw < best_ub:
                 best_c, best_ub = cw, ubw
@@ -603,7 +581,7 @@ def _minimax(G, f, opts):
         converged = best_ub <= lb * (1.0 + tol)
         if stalled:
             break           # rounding, not the method, now limits the bound
-    return best_c, best_ub, lb, iterations, converged, ridge_used
+    return best_c, best_ub, lb, iterations, converged
 
 
 def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
@@ -628,18 +606,29 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
     if G is None:
         G = basis_values(curve, free_basis, K) if m else np.zeros((npts, 0), dtype=complex)
 
-    scales = np.ones(m)
-    if m:
-        scales = np.max(np.abs(G), axis=0)
-        scales[scales == 0] = 1.0
-        G = G / scales
-    fmax = float(np.max(np.abs(f)))
-    fscale = fmax if fmax > 0.0 else 1.0
+    # one rank decision: columns with a negligible R_jj are dropped and the
+    # rest factored again, G[:, keep] = Q R
+    Q, R = np.linalg.qr(G)
+    diag = np.abs(np.diag(R))
+    keep = diag > SINGULAR_RATIO * np.max(diag, initial=0.0)
+    if not keep.all():
+        Q, R = np.linalg.qr(G[:, keep])
+    # f = Q fq + fp with fp orthogonal to range(Q), projected twice
+    fq = Q.conj().T @ f
+    fp = f - Q @ fq
+    dq = Q.conj().T @ fp
+    fq, fp = fq + dq, fp - Q @ dq
+    fscale = float(np.max(np.abs(fp))) or 1.0
 
-    c, best_ub, lb, iterations, converged, ridge_used = _minimax(G, f / fscale, opts)
+    # in u = R c + fq the residual is fp + Q u, and the seed u = fq is c = 0;
+    # Q rms has columns of RMS 1 on K like the t column: balanced Newton matrices
+    rms = np.sqrt(npts)
+    u, best_ub, lb, iterations, converged = _minimax(Q * rms, fp / fscale, fq / fscale / rms, opts)
     best_ub *= fscale
     lb *= fscale
-    coeffs = c * (fscale / scales)
+    coeffs = np.zeros(m, dtype=complex)
+    if keep.any():
+        coeffs[keep] = np.linalg.solve(R, u * fscale * rms - fq)
     minimizer = leading
     for cval, el in zip(coeffs, free_basis):
         if cval != 0:
@@ -656,7 +645,7 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
         tn=tn,
         iterations=iterations,
         converged=converged,
-        ridge_used=ridge_used,
+        ridge_used=not keep.all(),
         gap=max(best_ub - lb, 0.0),
         coeffs=coeffs,
     )

@@ -60,6 +60,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _count(doc, key, default):
+    """An integer setting, which JSON may give as an integral float (512.0)."""
+    value = float(doc.get(key, default))
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+    return int(value)
+
+
 @dataclass
 class RunConfig:
     curve_terms: list
@@ -94,18 +102,15 @@ class RunConfig:
         if not isinstance(set_spec, dict) or "kind" not in set_spec:
             raise ConfigError("config needs a set entry with a kind")
         solver = doc.get("solver", {})
-        max_iter = float(solver.get("max_iter", 500))
         opts = SolverOptions(
-            # a fractional count is kept so that validation rejects it
-            max_iter=int(max_iter) if max_iter.is_integer() else max_iter,
+            max_iter=_count(solver, "max_iter", 500),
             tol=float(solver.get("tol", 1e-8)),
-            ridge=float(solver.get("ridge", 1e-12)),
         )
         cfg = cls(
             curve_terms=terms,
             set_spec=set_spec,
-            resolution=int(doc.get("resolution", 1024)),
-            n_max=int(doc.get("n_max", 8)),
+            resolution=_count(doc, "resolution", 1024),
+            n_max=_count(doc, "n_max", 8),
             solver=opts,
             out_dir=doc.get("out_dir"),
             relaxed=bool(doc.get("relaxed", False)),

@@ -33,8 +33,8 @@ NEG_INF = float("-inf")
 # constant is reported as -inf (exact delta_jk zeros land at ~1e-16)
 ROBIN_ZERO_REL = 1e-12
 
-# sorted Robin constants closer than this are treated as ties, which
-# disables the strict-increase hypothesis flag
+# sorted Robin constants closer than this are treated as ties: they are
+# ordered by phase, and they disable the strict-increase hypothesis flag
 STRICT_RHO_TOL = 1e-4
 
 
@@ -69,8 +69,9 @@ class DirectionRobin:
 @dataclass
 class RobinReport:
     per_direction: list     # DirectionRobin, in curve direction order
-    ordering: list          # permutation sorting rho ascending (= T descending)
-    strict: bool            # rho strictly increasing after sorting
+    ordering: list          # permutation sorting rho ascending (= T descending),
+                            # ties within STRICT_RHO_TOL by ascending phase
+    strict: bool            # rho strictly increasing after sorting, no ties
 
 
 def robin_constants(curve, K, max_degree, opts=None, directions=None):
@@ -122,15 +123,18 @@ def robin_constants(curve, K, max_degree, opts=None, directions=None):
                 )
             )
 
-    def sort_key(i):
-        lam = entries[i].lam
-        phase = float(np.angle(lam)) if lam is not None else 0.0
-        return (entries[i].rho, phase)
-
-    ordering = sorted(range(len(entries)), key=sort_key)
-    rhos = [entries[i].rho for i in ordering]
-    strict = all(b - a > STRICT_RHO_TOL for a, b in zip(rhos, rhos[1:]))
-    return RobinReport(per_direction=entries, ordering=ordering, strict=strict)
+    # ascending rho; a constant within STRICT_RHO_TOL of the one before it
+    # is tied with it, and tied directions go by ascending phase
+    ties = []
+    for i in sorted(range(len(entries)), key=lambda i: entries[i].rho):
+        if ties and entries[i].rho - entries[ties[-1][-1]].rho <= STRICT_RHO_TOL:
+            ties[-1].append(i)
+        else:
+            ties.append([i])
+    phase = [float(np.angle(e.lam)) if e.lam is not None else 0.0 for e in entries]
+    ordering = [i for group in ties for i in sorted(group, key=phase.__getitem__)]
+    return RobinReport(per_direction=entries, ordering=ordering,
+                       strict=len(ties) == len(entries))
 
 
 # ---------------------------------------------------------------------------

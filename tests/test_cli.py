@@ -164,7 +164,6 @@ class TestCheb:
         ({"tol": float("inf")}, "tol must be positive and finite"),
         ({"tol": float("nan")}, "tol must be positive and finite"),
         ({"max_iter": 1.7}, "max_iter must be a positive integer"),
-        ({"ridge": float("inf")}, "ridge must be positive and finite"),
     ])
     def test_bad_solver_settings_invalid(self, capsys, tmp_path, solver, message):
         cfg = write_config(tmp_path / "solver.json", solver=solver)
@@ -174,6 +173,17 @@ class TestCheb:
     def test_integral_max_iter_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "solver.json", solver={"max_iter": 300.0})
         assert main(["cheb", "--config", cfg, "--class", "mv:1", "--n-max", "3"]) == 0
+
+    @pytest.mark.parametrize("key, value", [("resolution", 256.9), ("n_max", 3.7)])
+    def test_fractional_count_invalid(self, capsys, tmp_path, key, value):
+        cfg = write_config(tmp_path / "count.json", **{key: value})
+        assert main(["cheb", "--config", cfg, "--class", "mv:1"]) == 2
+        assert f"{key} must be a positive integer, not {value!r}" in capsys.readouterr().err
+
+    def test_integral_counts_accepted(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "count.json", resolution=512.0, n_max=3.0)
+        assert main(["cheb", "--config", cfg, "--class", "mv:1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 class TestSampleAndTfd:

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from curvecheb import BivarPoly, Z1Disk, sample
+from curvecheb import extremal
 from curvecheb.chebyshev import MQ, SolverOptions, chebyshev_sequence
 from curvecheb.extremal import (
     FAMILY_VK,
@@ -61,6 +63,18 @@ class TestRobinConstants:
         for e in rep.per_direction:
             assert e.rho == pytest.approx(0.0, abs=1e-9)
             assert e.via == "orderedClass"
+
+    @pytest.mark.parametrize("t1, t2", [(0.5, 0.5 * (1 + 1e-12)), (0.5 * (1 + 1e-12), 0.5)])
+    def test_near_equal_constants_order_by_phase(self, aeps, bidisk_set, monkeypatch, t1, t2):
+        # Robin constants 1e-12 apart are a tie: swapping them leaves the
+        # ordering as the ascending phase of the directions
+        estimates = iter([t1, t2])
+        monkeypatch.setattr(extremal, "chebyshev_sequence", lambda *args: None)
+        monkeypatch.setattr(extremal, "constant_estimate",
+                            lambda seq: SimpleNamespace(estimate=next(estimates), reliable=True))
+        rep = robin_constants(aeps, bidisk_set, 8, directions=[1.0 + 0j, -1.0 + 0j])
+        assert rep.ordering == [0, 1]
+        assert rep.strict is False
 
     def test_relaxed_needs_matching_labels(self, aeps, bidisk_set):
         with pytest.raises(ValueError, match="direction labels"):
