@@ -18,11 +18,11 @@ second-order cone program: minimise t subject to |f'_i + (Q u)_i| <= t, one
 3-dimensional cone per sample point, solved by a primal-dual interior-point
 method with Mehrotra predictor-corrector steps and Nesterov-Todd scaling.
 Its first iteration, the start, is the closed-form uniform-weight least
-squares point u = 0.  While the duality gap s^T z is above NORMAL_GAP * t,
-each further iteration Cholesky-factors the Newton matrix A^T W^-2 A,
-summed over chunks of sample points; closer to the optimum, or when that
-matrix is numerically singular, it factors W^-1 A by a QR over the same
-chunks.  SolverOptions.max_iter caps the iterations, the first included.
+squares point u = 0.  Each further iteration solves its Newton systems
+through the Cholesky factor of the Newton matrix A^T W^-2 A, and only when
+that matrix is numerically singular through a QR of W^-1 A over chunks of
+sample points.  SolverOptions.max_iter caps the iterations, the first
+included.
 
 Every iterate's max modulus is an upper bound, and so is the bare leading
 term's.  The certificate is a lower bound: sqrt(mean |f'|^2) at the start,
@@ -308,7 +308,6 @@ T0 = 1.5                # starting t over the max modulus of f
 CHUNK_POINTS = 128      # sample points per block of design rows
 STEP = 0.99             # fraction of the step to the cone boundary taken
 SINGULAR_RATIO = 1e-14  # |R_jj| / max |R_ii| at or below which a column is dropped
-NORMAL_GAP = 1e-6       # s^T z / t above which Newton matrices are Cholesky-factored
 
 
 def _dot(u0, u1, v0, v1):
@@ -383,31 +382,19 @@ def _chunks(npts):
     return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, npts, CHUNK_POINTS))
 
 
-def _wls_blocks(G, f, sw):
-    """Real rows of sqrt(w) * [G f], columns (Re c, Im c, f)."""
-    m = G.shape[1]
-    for sl in _chunks(len(f)):
-        g = G[sl] * sw[sl, None]
-        fw = f[sl] * sw[sl]
-        P = len(fw)
-        B = np.empty((2 * P, 2 * m + 1))
-        B[:P, :m], B[:P, m:2 * m], B[:P, -1] = g.real, -g.imag, fw.real
-        B[P:, :m], B[P:, m:2 * m], B[P:, -1] = g.imag, g.real, fw.imag
-        yield B
-
-
 def _wls(G, f, w):
     """Weighted least squares: argmin_c sum_i w_i |f_i + (G c)_i|^2.
 
     Returns (c, lb), where lb is the weighted residual norm and, as
     sum w = 1, a lower bound of the discrete minimax.  It is read off the R
-    factor of [G f] (its last diagonal entry), which stays accurate when |f|
-    is far above the residual.
+    factor of sqrt(w) [G f] (its last diagonal entry), which stays accurate
+    when |f| is far above the residual.
     """
     m = G.shape[1]
-    R = _r_factor(_wls_blocks(G, f, np.sqrt(w)), 2 * m + 1)
-    x = -np.linalg.solve(R[:2 * m, :2 * m], R[:2 * m, -1]) if m else np.zeros(0)
-    return x[:m] + 1j * x[m:], abs(float(R[-1, -1]))
+    R = _r_factor((np.column_stack([G[sl], f[sl]]) * np.sqrt(w[sl, None])
+                   for sl in _chunks(len(f))), m + 1)
+    c = -np.linalg.solve(R[:m, :m], R[:m, m]) if m else np.zeros(0, dtype=complex)
+    return c, float(abs(R[m, m]))
 
 
 def _scaled_design_blocks(G, W):
@@ -436,23 +423,18 @@ def _normal_factor(G, W):
     Per point W^-2 = D (2 w w^T - J) with D = beta^-2, w = (w0, -w1) and
     J = diag(1, -1, -1), so M is the real form of G^H D G in the c block,
     plus U^T U with rows sqrt(2 D) (w0, -Re h, Im h), h = conj(w1) G, minus
-    sum D in the t entry.  M is accumulated over the chunks and is never
-    held as rows.  Raises LinAlgError when M is not numerically positive
-    definite.
+    sum D in the t entry.  Raises LinAlgError when M is not numerically
+    positive definite.
     """
     m = G.shape[1]
-    M = np.zeros((2 * m + 1, 2 * m + 1))
-    H = np.zeros((m, m), dtype=complex)
-    for sl in _chunks(len(G)):
-        d = W.beta[sl] ** -2
-        g = G[sl]
-        H += (g.conj().T * d) @ g
-        h = g * W.w1[sl].conj()[:, None]
-        U = np.empty((len(d), 2 * m + 1))
-        U[:, 0], U[:, 1:m + 1], U[:, m + 1:] = W.w0[sl], -h.real, h.imag
-        U *= np.sqrt(2.0 * d)[:, None]
-        M += U.T @ U
-    M[0, 0] -= np.sum(W.beta ** -2)
+    d = W.beta ** -2
+    H = (G.conj().T * d) @ G
+    h = G * W.w1.conj()[:, None]
+    U = np.empty((len(d), 2 * m + 1))
+    U[:, 0], U[:, 1:m + 1], U[:, m + 1:] = W.w0, -h.real, h.imag
+    U *= np.sqrt(2.0 * d)[:, None]
+    M = U.T @ U
+    M[0, 0] -= np.sum(d)
     M[1:m + 1, 1:m + 1] += H.real
     M[1:m + 1, m + 1:] -= H.imag
     M[m + 1:, 1:m + 1] += H.imag
@@ -500,7 +482,6 @@ def _minimax(G, f, seed, opts):
     converged = best_ub <= lb * (1.0 + tol)
     t *= T0
     z0, z1 = np.full(npts, 1.0 / npts), np.zeros(npts, dtype=complex)
-    gap = t     # s^T z
 
     while not converged and iterations < opts.max_iter:
         # stop where rounding takes over: s or z on the boundary, or, as
@@ -510,10 +491,9 @@ def _minimax(G, f, seed, opts):
         iterations += 1
         W = _NTScaling(np.full(npts, t), r, z0, z1)
         lam0, lam1 = W.lam
-        # far from the optimum the normal equations are accurate enough and
-        # much cheaper; near it, and where M is numerically singular, the
-        # Newton systems go through the R factor of W^-1 A
-        Ri = _normal_inverse(G, W) if gap > NORMAL_GAP * t else None
+        # the Newton systems go through the Cholesky factor of M, and only
+        # where M is numerically singular through the R factor of W^-1 A
+        Ri = _normal_inverse(G, W)
         if Ri is None:
             R = _r_factor(_scaled_design_blocks(G, W), n)
 
@@ -668,6 +648,11 @@ def sweep():
         yield
     finally:
         _SWEEP_SOLVES.reset(token)
+
+
+def sweep_solves():
+    """The solves kept so far by the enclosing sweep()."""
+    return [solve for solve, _, _ in _SWEEP_SOLVES.get().values()]
 
 
 def chebyshev_solve(curve, spec, K, n, opts=None):
@@ -829,17 +814,32 @@ def directional_constants(curve, K, max_degree, opts=None):
     return out
 
 
+# constants whose logs differ by at most this are treated as ties: they are
+# ordered by phase, and they disable the strict-increase hypothesis flag
+STRICT_RHO_TOL = 1e-4
+
+
+def tie_groups(rhos, phases):
+    """Indices by ascending rho in groups of ties, a rho within STRICT_RHO_TOL
+    of the one before it joining its group; each group by ascending phase."""
+    groups = []
+    for i in sorted(range(len(rhos)), key=rhos.__getitem__):
+        if groups and rhos[i] <= rhos[groups[-1][-1]] + STRICT_RHO_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return [sorted(g, key=phases.__getitem__) for g in groups]
+
+
 def descending_direction_order(curve, estimates):
     """Permutation of direction indices by descending T estimate.
 
-    Ties are broken by ascending phase of the direction, which keeps the
-    relabeling deterministic.
+    Estimates within STRICT_RHO_TOL in log T are tied and go by ascending
+    phase of the direction, which keeps the relabeling deterministic.
     """
-    keyed = []
-    for idx, est in enumerate(estimates):
-        lam = curve.directions[idx]
-        keyed.append((-est.estimate, float(np.angle(lam)), idx))
-    return [idx for _, _, idx in sorted(keyed)]
+    rhos = [-math.log(e.estimate) if e.estimate > 0 else math.inf for e in estimates]
+    phases = [float(np.angle(lam)) for lam in curve.directions]
+    return [i for group in tie_groups(rhos, phases) for i in group]
 
 
 # ---------------------------------------------------------------------------

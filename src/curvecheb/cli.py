@@ -43,6 +43,7 @@ from .chebyshev import (
     comparison_report,
     directional_constants,
     sweep,
+    sweep_solves,
     tau_sequence,
 )
 from .transfinite import leja_start, leja_extend, transfinite_diameter, vn_tau_check, block_counts
@@ -135,7 +136,7 @@ class RunConfig:
     def build_descriptor(self, base_dir="."):
         spec = dict(self.set_spec)
         kind = spec.pop("kind")
-        res = int(spec.pop("resolution", self.resolution))
+        res = _count(spec, "resolution", self.resolution)
         try:
             if kind == "z1disk":
                 return Z1Disk(r=float(spec["r"]), resolution=res)
@@ -337,7 +338,7 @@ def cmd_extremal(cfg, out, n):
 
 
 @sweep()
-def cmd_verify(cfg, out, tol_scale):
+def cmd_verify(cfg, out, tol_scale, allow_unconverged):
     curve = cfg.build_curve()
     K = sample(curve, cfg.build_descriptor())
     assertions = []
@@ -417,6 +418,11 @@ def cmd_verify(cfg, out, tol_scale):
     if out:
         _write_lines(Path(out) / "verify_report.txt", lines)
         _write_lines(Path(out) / "verify_table.tsv", table_lines)
+    solves = sweep_solves() + taus
+    n_unconverged = sum(not s.converged for s in solves)
+    if n_unconverged and not allow_unconverged:
+        print(f"non-convergence in {n_unconverged} of {len(solves)} solves", file=sys.stderr)
+        return EXIT_NONCONVERGED
     return EXIT_OK if n_fail == 0 else EXIT_ASSERT
 
 
@@ -483,7 +489,7 @@ def main(argv=None):
         if args.command == "extremal":
             return cmd_extremal(cfg, out, args.n)
         if args.command == "verify":
-            return cmd_verify(cfg, out, args.tolerance_scale)
+            return cmd_verify(cfg, out, args.tolerance_scale, args.allow_unconverged)
         raise ConfigError(f"unknown command {args.command!r}")
     except (np.linalg.LinAlgError, RuntimeError) as exc:  # not invalid input
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .chebyshev import (
     chebyshev_sequence,
     chebyshev_solve,
     constant_estimate,
+    tie_groups,
 )
 
 NEG_INF = float("-inf")
@@ -32,10 +33,6 @@ NEG_INF = float("-inf")
 # ruling on near-zero leading values: below this relative size the Robin
 # constant is reported as -inf (exact delta_jk zeros land at ~1e-16)
 ROBIN_ZERO_REL = 1e-12
-
-# sorted Robin constants closer than this are treated as ties: they are
-# ordered by phase, and they disable the strict-increase hypothesis flag
-STRICT_RHO_TOL = 1e-4
 
 
 def robin_of_poly(curve, p, k):
@@ -123,16 +120,10 @@ def robin_constants(curve, K, max_degree, opts=None, directions=None):
                 )
             )
 
-    # ascending rho; a constant within STRICT_RHO_TOL of the one before it
-    # is tied with it, and tied directions go by ascending phase
-    ties = []
-    for i in sorted(range(len(entries)), key=lambda i: entries[i].rho):
-        if ties and entries[i].rho - entries[ties[-1][-1]].rho <= STRICT_RHO_TOL:
-            ties[-1].append(i)
-        else:
-            ties.append([i])
-    phase = [float(np.angle(e.lam)) if e.lam is not None else 0.0 for e in entries]
-    ordering = [i for group in ties for i in sorted(group, key=phase.__getitem__)]
+    # ascending rho, ties within STRICT_RHO_TOL by ascending phase
+    phases = [float(np.angle(e.lam)) if e.lam is not None else 0.0 for e in entries]
+    ties = tie_groups([e.rho for e in entries], phases)
+    ordering = [i for group in ties for i in group]
     return RobinReport(per_direction=entries, ordering=ordering,
                        strict=len(ties) == len(entries))
 

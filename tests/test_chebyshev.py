@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from curvecheb.chebyshev import (
     class_parametrize,
     comparison_report,
     constant_estimate,
+    descending_direction_order,
     minimax_solve,
     tau_sequence,
 )
@@ -269,19 +272,48 @@ class TestNewtonFactor:
     def test_normal_equations_keep_the_qr_only_solve(self, cubic7, monkeypatch):
         K = sample(cubic7, Z1Disk(1.2, resolution=1024))
         opts = SolverOptions(max_iter=300)
-        calls = []
-        factor = chebyshev._normal_factor
-        monkeypatch.setattr(chebyshev, "_normal_factor",
-                            lambda G, W: calls.append(None) or factor(G, W))
         fast = chebyshev_solve(cubic7, Zk(1), K, 8, opts)
-        n_fast = len(calls)
-        # with an infinite threshold every Newton matrix comes from the QR
-        monkeypatch.setattr(chebyshev, "NORMAL_GAP", np.inf)
+        # refusing every Cholesky factor sends every Newton system to the QR
+        monkeypatch.setattr(chebyshev, "_normal_inverse", lambda G, W: None)
         ref = chebyshev_solve(cubic7, Zk(1), K, 8, opts)
-        assert n_fast > 0 and len(calls) == n_fast
         assert fast.converged and ref.converged
         assert fast.iterations == ref.iterations
         assert abs(fast.norm - ref.norm) <= 1e-10 * ref.norm
+
+    def test_qr_runs_exactly_where_the_normal_matrix_is_singular(self, cubic7, monkeypatch):
+        K = sample(cubic7, Z1Disk(1.2, resolution=1024))
+        events = []
+        inverse, blocks = chebyshev._normal_inverse, chebyshev._scaled_design_blocks
+
+        def recorded_inverse(G, W):
+            Ri = inverse(G, W)
+            events.append(Ri is None)
+            return Ri
+
+        monkeypatch.setattr(chebyshev, "_normal_inverse", recorded_inverse)
+        monkeypatch.setattr(chebyshev, "_scaled_design_blocks",
+                            lambda G, W: events.append("qr") or blocks(G, W))
+        s = chebyshev_solve(cubic7, MQ(cubic7.dirbasis[0]), K, 4, SolverOptions(max_iter=300))
+        singular = [e for e in events if e != "qr"]
+        # one condition test per iteration after the closed-form start, and
+        # a QR right after each refused factor and nowhere else
+        assert len(singular) == s.iterations - 1
+        assert 0 < sum(singular) < len(singular)
+        assert events == [e for r in singular for e in ([r, "qr"] if r else [r])]
+        assert s.converged
+
+    @pytest.mark.parametrize("npts, m, seed", [(40, 5, 0), (300, 12, 1), (9, 0, 2), (1023, 36, 3)])
+    def test_wls_matches_lstsq(self, npts, m, seed):
+        f, G = _random_problem(seed, npts, m)
+        w = np.random.default_rng(seed).random(npts)
+        w /= w.sum()
+        c, lb = chebyshev._wls(G, f, w)
+        sw = np.sqrt(w)
+        ref, *_ = np.linalg.lstsq(G * sw[:, None], -f * sw, rcond=None)
+        ref_lb = np.linalg.norm(sw * (f + G @ ref))
+        assert c.shape == (m,)
+        assert np.linalg.norm(c - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        assert abs(lb - ref_lb) <= 1e-12 * ref_lb
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 1.7}, {"max_iter": 0}, {"tol": np.inf}, {"tol": np.nan},
@@ -409,6 +441,13 @@ class TestSequencesAndEstimates:
         # a prefactor of positive degree keeps the tail fit
         seq = chebyshev_sequence(hyp, MRQ(Z2, Z1), K, range(1, 9))
         assert constant_estimate(seq).method == "tailMean"
+
+    @pytest.mark.parametrize("t1, t2", [(0.5, 0.5 * (1 + 1e-12)), (0.5 * (1 + 1e-12), 0.5)])
+    def test_near_equal_constants_order_by_phase(self, hyp, t1, t2):
+        # constants 1e-12 apart are a tie: swapping them leaves the order
+        # as the ascending phase of the directions (-1 has phase pi)
+        ests = [SimpleNamespace(estimate=t1), SimpleNamespace(estimate=t2)]
+        assert descending_direction_order(hyp, ests) == [1, 0]
 
     def test_tail_mean_for_ordered_classes(self, hyp, torus_set):
         seq = chebyshev_sequence(hyp, Zk(0), torus_set, range(1, 13))

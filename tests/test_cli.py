@@ -180,6 +180,12 @@ class TestCheb:
         assert main(["cheb", "--config", cfg, "--class", "mv:1"]) == 2
         assert f"{key} must be a positive integer, not {value!r}" in capsys.readouterr().err
 
+    def test_fractional_set_resolution_invalid(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "count.json",
+                           set={"kind": "absv1v2torus", "r1": 0.5, "r2": 0.5, "resolution": 256.9})
+        assert main(["sample", "--config", cfg]) == 2
+        assert "resolution must be a positive integer, not 256.9" in capsys.readouterr().err
+
     def test_integral_counts_accepted(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "count.json", resolution=512.0, n_max=3.0)
         assert main(["cheb", "--config", cfg, "--class", "mv:1"]) == 0
@@ -237,6 +243,16 @@ class TestVerify:
     def test_zero_tolerance_negative_control(self, tmp_path, torus_config):
         assert main(["verify", "--config", torus_config, "--n-max", "6",
                      "--tolerance-scale", "0"]) == 1
+
+    def test_unconverged_solve_exits_nonconverged(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "iters.json", solver={"max_iter": 2, "tol": 1e-14})
+        out = tmp_path / "rep"
+        assert main(["verify", "--config", cfg]) == 3
+        assert "non-convergence" in capsys.readouterr().err
+        # with the flag the exit code is the assertion verdict
+        rc = main(["verify", "--config", cfg, "--allow-unconverged", "--out", str(out)])
+        total = (out / "verify_report.txt").read_text().splitlines()[-1]
+        assert rc == (0 if total.endswith("pass") else 1)
 
     def test_corrupted_curve_exits_invalid(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json",
