@@ -6,7 +6,8 @@ degree free) or of the position kind (Zk, TildeMl: an element of a graded
 basis, the elements before it free).  T_n values are the n-th roots of the
 minimal sup norms over a SampledSet, n being the degree of the leading term
 in the coordinate ring; constants are estimated from sequences of such
-solves.  Inside a sweep(), as in `curvecheb verify`, each is solved once.
+solves.  Inside a sweep(), as in `curvecheb verify`, each minimax problem
+is solved once, whichever class or tau position poses it.
 
 The minimax subproblem min_c max_i |f_i + (G c)_i| is solved on one thin
 QR of the design, G = Q R, after one rank decision: a column with a
@@ -38,7 +39,7 @@ import numbers
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -640,9 +641,12 @@ _SWEEP_SOLVES = ContextVar("sweep_solves", default=None)
 
 @contextmanager
 def sweep():
-    """Scope in which chebyshev_solve solves each (curve, class, set, n,
-    options) once, curve and set compared by identity, class and options
-    by equality.  A failed solve is not kept."""
+    """Scope in which each minimax problem is solved once, whichever class
+    or tau position poses it.  A problem is the curve and set (by identity),
+    the leading term, the free basis (a graded basis prefix: basis id and
+    length) and the options.  Its first poser supplies the leading values;
+    later ones get that solve under their own spec and n.  A failed solve
+    is not kept."""
     token = _SWEEP_SOLVES.set({})
     try:
         yield
@@ -651,23 +655,31 @@ def sweep():
 
 
 def sweep_solves():
-    """The solves kept so far by the enclosing sweep()."""
+    """The solves kept so far by the enclosing sweep(), one per problem."""
     return [solve for solve, _, _ in _SWEEP_SOLVES.get().values()]
+
+
+def _problem_solve(curve, K, leading, free, opts, spec, n, solve):
+    """solve() once per problem in a sweep, labelled with spec and n."""
+    memo = _SWEEP_SOLVES.get()
+    if memo is None:
+        return solve()
+    # the memo holds curve and K, so their ids are not reused while it lives
+    key = (id(curve), id(K), leading, free[0].basis_id if free else None, len(free),
+           opts or SolverOptions())
+    if key not in memo:
+        memo[key] = (solve(), curve, K)
+    hit = memo[key][0]
+    return hit if (hit.spec, hit.n) == (spec, n) else replace(hit, spec=spec, n=n)
 
 
 def chebyshev_solve(curve, spec, K, n, opts=None):
     """One minimax solve for the class at parameter n."""
-    memo = _SWEEP_SOLVES.get()
-    # the memo holds curve and K, so their ids are not reused while it lives
-    key = (id(curve), id(K), spec, n, opts or SolverOptions())
-    if memo is not None and key in memo:
-        return memo[key][0]
     leading, free = class_parametrize(curve, spec, n)
-    solve = minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
-                          leading_values=spec.leading_values(curve, n, K))
-    if memo is not None:
-        memo[key] = (solve, curve, K)
-    return solve
+    return _problem_solve(
+        curve, K, leading, free, opts, spec, n,
+        lambda: minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
+                              leading_values=spec.leading_values(curve, n, K)))
 
 
 def chebyshev_sequence(curve, spec, K, n_range, opts=None):
@@ -703,39 +715,20 @@ def tau_sequence(curve, K, basis_id, count, opts=None):
 
     Position j's class is {b_j + span(b_1..b_{j-1})}; its norm equals
     tau_j raised to deg(b_j).  Position 1 has degree 0 and carries no tn.
+    In a sweep() a position shares its solve with any class posing the
+    same problem, such as the matching Zk class of the S basis.
     """
     elems = polyring.basis_enumerate(curve, basis_id, count)
     G = basis_values(curve, elems, K)
-    out = []
-    for j, el in enumerate(elems, start=1):
-        if el.degree == 0:
-            norm = float(np.max(np.abs(G[:, 0])))
-            out.append(
-                ChebSolve(
-                    spec=("tau", basis_id, j),
-                    n=j,
-                    total_degree=0,
-                    minimizer=el.poly,
-                    norm=norm,
-                    tn=float("nan"),
-                    iterations=0,
-                    converged=True,
-                )
-            )
-            continue
-        solve = minimax_solve(
-            el.poly,
-            elems[: j - 1],
-            K,
-            opts,
-            curve=curve,
-            leading_values=G[:, j - 1],
-            basis_matrix=G[:, : j - 1],
-            spec=("tau", basis_id, j),
-            n=j,
-        )
-        out.append(solve)
-    return out
+    return [
+        _problem_solve(
+            curve, K, el.poly, elems[: j - 1], opts, ("tau", basis_id, j), j,
+            lambda: minimax_solve(
+                el.poly, elems[: j - 1], K, opts, curve=curve,
+                leading_values=G[:, j - 1], basis_matrix=G[:, : j - 1],
+                spec=("tau", basis_id, j), n=j))
+        for j, el in enumerate(elems, start=1)
+    ]
 
 
 @dataclass

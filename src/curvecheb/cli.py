@@ -418,8 +418,13 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
     if out:
         _write_lines(Path(out) / "verify_report.txt", lines)
         _write_lines(Path(out) / "verify_table.tsv", table_lines)
-    solves = sweep_solves() + taus
+    # the sweep holds every solve, the tau solves included, once per problem
+    solves = sweep_solves()
     n_unconverged = sum(not s.converged for s in solves)
+    worst = max((s.gap / s.norm for s in solves if s.norm > 0), default=0.0)
+    print(f"solver health: {len(solves)} solves, {n_unconverged} unconverged, "
+          f"worst relative gap {worst:.3e}, "
+          f"{sum(s.ridge_used for s in solves)} with dropped columns")
     if n_unconverged and not allow_unconverged:
         print(f"non-convergence in {n_unconverged} of {len(solves)} solves", file=sys.stderr)
         return EXIT_NONCONVERGED

@@ -466,6 +466,7 @@ class TestTauSequence:
         assert taus[0].total_degree == 0
         assert taus[0].norm == pytest.approx(1.0)
         assert np.isnan(taus[0].tn)
+        assert taus[0].converged
 
     def test_alignment_tags(self, hyp, torus_set):
         taus = tau_sequence(hyp, torus_set, BASIS_S, 5)
@@ -550,3 +551,57 @@ class TestSweep:
                 with pytest.warns(UserWarning, match="n=20 failed"):
                     chebyshev_sequence(hyp, Zk(0), K, [1, 20])
         assert solves == [1, 20, 20]
+
+    def test_classes_posing_one_problem_share_a_solve(self, hyp, torus_set_small, solves):
+        v1 = hyp.dirbasis[0]
+        specs = [MQ(v1), MRQ(BivarPoly.constant(1.0), v1), Mz1jVk(0, 1)]
+        with chebyshev.sweep():
+            out = [chebyshev_solve(hyp, spec, torus_set_small, 3) for spec in specs]
+            assert len(chebyshev.sweep_solves()) == 1
+        assert solves == [3]
+        assert [s.spec for s in out] == specs
+        assert all(s.n == 3 and s.norm == out[0].norm for s in out)
+
+    def test_product_and_position_classes_share_a_solve(self, hyp, torus_set_small, solves):
+        with chebyshev.sweep():
+            a = chebyshev_solve(hyp, MRQ(Z1, Z1), torus_set_small, 2)
+            b = chebyshev_solve(hyp, Zk(0), torus_set_small, 3)
+        assert solves == [2]
+        assert (b.spec, b.n) == (Zk(0), 3)
+        assert (b.norm, b.total_degree) == (a.norm, a.total_degree)
+
+    def test_tau_positions_reuse_class_solves(self, hyp, torus_set_small, solves):
+        with chebyshev.sweep():
+            z0 = chebyshev_sequence(hyp, Zk(0), torus_set_small, range(1, 4))
+            z1 = chebyshev_sequence(hyp, Zk(1), torus_set_small, range(1, 3))
+            del solves[:]
+            taus = tau_sequence(hyp, torus_set_small, BASIS_S, 7)
+        # positions 2, 4, 6 are z1^n (Zk(0)) and 5, 7 are z2 z1^n (Zk(1))
+        assert solves == [1, 3]
+        assert [t.spec for t in taus] == [("tau", BASIS_S, j) for j in range(1, 8)]
+        assert [taus[j - 1].norm for j in (2, 4, 6, 5, 7)] == [s.norm for s in z0 + z1]
+
+    def test_relabelled_hit_is_a_copy(self, hyp, torus_set_small, solves):
+        v1 = hyp.dirbasis[0]
+        relabelled = MRQ(BivarPoly.constant(1.0), v1)
+        with chebyshev.sweep():
+            a = chebyshev_solve(hyp, MQ(v1), torus_set_small, 2)
+            norm = a.norm
+            b = chebyshev_solve(hyp, relabelled, torus_set_small, 2)
+            assert b is not a
+            b.norm, b.converged = -1.0, False
+            assert chebyshev_solve(hyp, MQ(v1), torus_set_small, 2) is a
+            assert chebyshev_solve(hyp, relabelled, torus_set_small, 2).norm == norm
+            assert chebyshev.sweep_solves() == [a]
+        assert (a.spec, a.norm, a.converged) == (MQ(v1), norm, True)
+        assert solves == [2]
+
+    def test_same_leading_term_in_other_basis_is_another_problem(
+            self, hyp, torus_set_small, solves):
+        specs = [Mz1jVk(0, 1), TildeMl(0, 1)]
+        (la, fa), (lb, fb) = (class_parametrize(hyp, s, 3) for s in specs)
+        assert la == lb and len(fa) == len(fb)
+        with chebyshev.sweep():
+            for spec in specs:
+                chebyshev_solve(hyp, spec, torus_set_small, 3)
+        assert solves == [3, 3]

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -234,25 +235,48 @@ class TestRobinCmd:
 
 
 class TestVerify:
-    def test_symmetric_torus_passes(self, tmp_path, torus_config):
+    @staticmethod
+    def _health(out):
+        """(solves, unconverged, worst relative gap, dropped) from the health line."""
+        m = re.fullmatch(r"solver health: (\d+) solves, (\d+) unconverged, worst relative "
+                         r"gap (\S+), (\d+) with dropped columns", out.splitlines()[-1])
+        return int(m[1]), int(m[2]), float(m[3]), int(m[4])
+
+    def test_symmetric_torus_passes(self, capsys, tmp_path, torus_config):
         out = tmp_path / "rep"
         assert main(["verify", "--config", torus_config, "--out", str(out)]) == 0
         report = (out / "verify_report.txt").read_text()
         assert "FAIL" not in report
+        solves, unconverged, worst, _ = self._health(capsys.readouterr().out)
+        assert solves > 0 and unconverged == 0 and worst <= 1e-8
 
     def test_zero_tolerance_negative_control(self, tmp_path, torus_config):
         assert main(["verify", "--config", torus_config, "--n-max", "6",
                      "--tolerance-scale", "0"]) == 1
 
-    def test_unconverged_solve_exits_nonconverged(self, capsys, tmp_path):
+    def test_unconverged_solve_exits_nonconverged(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        real = chebyshev.minimax_solve
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["spec"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chebyshev, "minimax_solve", counting)
         cfg = write_config(tmp_path / "iters.json", solver={"max_iter": 2, "tol": 1e-14})
         out = tmp_path / "rep"
         assert main(["verify", "--config", cfg]) == 3
-        assert "non-convergence" in capsys.readouterr().err
-        # with the flag the exit code is the assertion verdict
+        stdout, err = capsys.readouterr()
+        # each problem is solved and counted once, the tau positions included
+        solves, unconverged, _, _ = self._health(stdout)
+        assert f"non-convergence in {unconverged} of {len(calls)} solves" in err
+        assert solves == len(calls) and any(isinstance(spec, tuple) for spec in calls)
+        # with the flag the exit code is the assertion verdict, and the
+        # health line still shows the unconverged solves
         rc = main(["verify", "--config", cfg, "--allow-unconverged", "--out", str(out)])
         total = (out / "verify_report.txt").read_text().splitlines()[-1]
         assert rc == (0 if total.endswith("pass") else 1)
+        assert self._health(capsys.readouterr().out)[1] > 0
 
     def test_corrupted_curve_exits_invalid(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json",
