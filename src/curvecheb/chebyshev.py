@@ -27,9 +27,11 @@ included.
 
 Every iterate's max modulus is an upper bound, and so is the bare leading
 term's.  The certificate is a lower bound: sqrt(mean |f'|^2) at the start,
-then the weighted least squares value with the dual weights z_i0 (summing
-to 1), taken once the method's own duality gap is below tol * t.  A solve
-is converged when norm <= lb * (1 + tol), and gap = norm - lb.
+then, once the method's own duality gap is below tol * t, the classical
+dual bound |y^H f'| / |y|_1 of complex Chebyshev approximation, y the dual
+iterate zeta projected onto the orthogonal complement of range(Q) (Rivlin
+and Shapiro, J. SIAM 9, 1961).  A solve is converged when
+norm <= lb * (1 + tol), and gap = norm - lb.
 """
 
 from __future__ import annotations
@@ -368,34 +370,16 @@ def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
 def _r_factor(blocks, ncols):
     """R factor of the row blocks stacked on each other, one block at a time.
 
-    Only R and the current block are held, never the whole design.  With
-    fewer rows than columns R is padded with zero rows to a square.
+    Only R and the current block are held, never the whole design.
     """
     R = np.zeros((0, ncols))
     for B in blocks:
         R = np.linalg.qr(np.vstack([R, B]), mode="r")
-    if len(R) < ncols:
-        R = np.vstack([R, np.zeros((ncols - len(R), ncols))])
     return R
 
 
 def _chunks(npts):
     return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, npts, CHUNK_POINTS))
-
-
-def _wls(G, f, w):
-    """Weighted least squares: argmin_c sum_i w_i |f_i + (G c)_i|^2.
-
-    Returns (c, lb), where lb is the weighted residual norm and, as
-    sum w = 1, a lower bound of the discrete minimax.  It is read off the R
-    factor of sqrt(w) [G f] (its last diagonal entry), which stays accurate
-    when |f| is far above the residual.
-    """
-    m = G.shape[1]
-    R = _r_factor((np.column_stack([G[sl], f[sl]]) * np.sqrt(w[sl, None])
-                   for sl in _chunks(len(f))), m + 1)
-    c = -np.linalg.solve(R[:m, :m], R[:m, m]) if m else np.zeros(0, dtype=complex)
-    return c, float(abs(R[m, m]))
 
 
 def _scaled_design_blocks(G, W):
@@ -458,8 +442,10 @@ def _normal_inverse(G, W):
 
 
 def _minimax(G, f, seed, opts):
-    """Discrete complex minimax min_c max_i |f_i + (G c)_i|, where G has
-    orthogonal columns, f is orthogonal to them and max |f| = 1.
+    """Discrete complex minimax min_c max_i |f_i + (G c)_i|, where
+    G^H G = npts I (orthogonal columns of RMS 1 over the points, which the
+    projection of the dual bound relies on), f is orthogonal to them and
+    max |f| = 1.
 
     Returns (c, norm, lb, iterations, converged): the best coefficients
     found, the seed c included, their max modulus, a certified lower bound
@@ -492,17 +478,12 @@ def _minimax(G, f, seed, opts):
         iterations += 1
         W = _NTScaling(np.full(npts, t), r, z0, z1)
         lam0, lam1 = W.lam
-        # the Newton systems go through the Cholesky factor of M, and only
-        # where M is numerically singular through the R factor of W^-1 A
+        # the Newton systems go through the inverse of the Cholesky factor
+        # of M, and only where M is numerically singular through the inverse
+        # of the R factor of W^-1 A: either way x = Ri Ri^T rhs
         Ri = _normal_inverse(G, W)
         if Ri is None:
-            R = _r_factor(_scaled_design_blocks(G, W), n)
-
-        def solve(rhs):
-            """x with R^T R x = rhs."""
-            if Ri is not None:
-                return Ri @ (Ri.T @ rhs)
-            return np.linalg.solve(R, np.linalg.solve(R.T, rhs))
+            Ri = np.linalg.inv(_r_factor(_scaled_design_blocks(G, W), n))
         res_t, res_c = float(np.sum(z0)) - 1.0, gh(z1)      # A^T z - e_t
 
         def newton(u0, u1):
@@ -511,7 +492,7 @@ def _minimax(G, f, seed, opts):
             v0, v1 = W.inverse(u0, u1)
             rc = gh(v1) + res_c
             rhs = np.concatenate([[np.sum(v0) + res_t], rc.real, rc.imag])
-            dx = solve(rhs)
+            dx = Ri @ (Ri.T @ rhs)
             dc = dx[1:m + 1] + 1j * dx[m + 1:]
             gdc = G @ dc
             ds0, ds1 = W.inverse(np.full(npts, dx[0]), gdc)
@@ -553,12 +534,15 @@ def _minimax(G, f, seed, opts):
         gap = t * float(np.sum(z0)) + float(np.sum((r.conj() * z1).real))
         stalled = False
         if gap <= tol * t:
-            cw, lbw = _wls(G, f, z0 / np.sum(z0))
-            ubw = float(np.max(np.abs(f + G @ cw)))
-            if ubw < best_ub:
-                best_c, best_ub = cw, ubw
-            stalled = lbw <= lb
-            lb = max(lb, lbw)
+            # dual bound: with y = z1 projected twice onto null(G^H),
+            # y^H f = y^H (f + G c) for every c, so |y^H f| / |y|_1 is below
+            # every max |f + G c|
+            y = z1 - G @ gh(z1) / npts
+            y = y - G @ gh(y) / npts
+            y1 = float(np.sum(np.abs(y)))
+            lby = float(abs(np.vdot(y, f))) / y1 if y1 > 0.0 else 0.0
+            stalled = lby <= lb
+            lb = max(lb, lby)
         converged = best_ub <= lb * (1.0 + tol)
         if stalled:
             break           # rounding, not the method, now limits the bound

@@ -39,6 +39,7 @@ from .chebyshev import (
     TildeMl,
     Zk,
     _assert_eq,
+    _assert_le,
     chebyshev_sequence,
     comparison_report,
     directional_constants,
@@ -372,11 +373,8 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
     taus = tau_sequence(curve, K, BASIS_S, m_tau, cfg.solver)
     slack = 0.05 * tol_scale
     for rec in vn_tau_check(run, taus, slack=slack):
-        assertions.append(Assertion(
-            name=f"determinant ratio bound at index {rec.index}",
-            kind="le", lhs=rec.ratio, rhs=rec.bound, tol=slack,
-            passed=rec.ratio <= rec.bound * (1.0 + slack) + 1e-300,
-        ))
+        assertions.append(_assert_le(f"determinant ratio bound at index {rec.index}",
+                                     rec.ratio, rec.bound, slack))
 
     robin = robin_constants(curve, K, cfg.n_max, cfg.solver,
                             directions=cfg.direction_labels())
@@ -387,23 +385,15 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
             passed=math.isfinite(e.rho),
         ))
         if math.isfinite(e.discrepancy):
-            bound = 5e-2 * tol_scale
-            assertions.append(Assertion(
-                name=f"robin cross-check for direction {i}",
-                kind="le", lhs=e.discrepancy, rhs=bound, tol=0.0,
-                passed=e.discrepancy <= bound,
-            ))
+            assertions.append(_assert_le(f"robin cross-check for direction {i}",
+                                         e.discrepancy, 5e-2 * tol_scale, 0.0))
 
     try:
         pts = probe_points(curve, [1.5, 2.5, 4.0], 48)
         oracle_eval(K.descriptor, pts, curve=curve)
         rep = vk_max(curve, K, cfg.n_max, pts, cfg.solver, robin=robin)
-        bound = 5e-2 * tol_scale
-        assertions.append(Assertion(
-            name="families max matches the closed form",
-            kind="le", lhs=rep.gap_families, rhs=bound, tol=0.0,
-            passed=rep.gap_families <= bound,
-        ))
+        assertions.append(_assert_le("families max matches the closed form",
+                                     rep.gap_families, 5e-2 * tol_scale, 0.0))
     except OracleError:
         pass
 

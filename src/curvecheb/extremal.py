@@ -203,8 +203,6 @@ class VkMaxReport:
     max_tilde: np.ndarray
     max_families: np.ndarray
     oracle: np.ndarray | None
-    gap_vk: float | None
-    gap_tilde: float | None
     gap_families: float | None
     tilde_hypothesis_met: bool
 
@@ -212,10 +210,11 @@ class VkMaxReport:
 def vk_max(curve, K, n, pts, opts=None, robin=None):
     """Pointwise maxima of both families at total degree n.
 
-    When the set's descriptor has a registered closed form the sup gaps
-    against it are reported.  The ordered-family max is always computed;
-    when the Robin constants are not strictly increasing it is flagged
-    (the max formula for that family assumes strict ordering).
+    When the set's descriptor has a registered closed form the sup gap of
+    the maximum over both families against it is reported.  The
+    ordered-family max is always computed; when the Robin constants are not
+    strictly increasing it is flagged (the max formula for that family
+    assumes strict ordering).
     """
     d = curve.d
     pts = np.asarray(pts, dtype=complex)
@@ -231,16 +230,12 @@ def vk_max(curve, K, n, pts, opts=None, robin=None):
     max_vk = np.max(evs_vk, axis=0) if evs_vk else np.full(len(pts), np.nan)
     max_tl = np.max(evs_tl, axis=0)
     max_all = np.max(evs_vk + evs_tl, axis=0)
-    oracle = None
-    gv = gt = ga = None
+    oracle = ga = None
     try:
         oracle = oracle_eval(K.descriptor, pts, curve=curve)
     except OracleError:
         pass
     if oracle is not None:
-        if evs_vk:
-            gv = float(np.max(np.abs(max_vk - oracle)))
-        gt = float(np.max(np.abs(max_tl - oracle)))
         ga = float(np.max(np.abs(max_all - oracle)))
     strict = robin.strict if robin is not None else False
     return VkMaxReport(
@@ -249,8 +244,6 @@ def vk_max(curve, K, n, pts, opts=None, robin=None):
         max_tilde=max_tl,
         max_families=max_all,
         oracle=oracle,
-        gap_vk=gv,
-        gap_tilde=gt,
         gap_families=ga,
         tilde_hypothesis_met=strict,
     )
