@@ -2,12 +2,15 @@
 
 A class fixes a leading term and leaves lower terms free.  It is of the
 product kind (MQ, MRQ, Mz1jVk: leading term NF(R Q^n), every term of lower
-degree free) or of the position kind (Zk, TildeMl: an element of a graded
-basis, the elements before it free).  T_n values are the n-th roots of the
+degree free) or of the position kind (Zk, TildeMl, Tau: an element of a
+graded basis, the elements before it free; Tau(B) at n is the n-th element
+of B, whose norm is tau_n^deg).  T_n values are the n-th roots of the
 minimal sup norms over a SampledSet, n being the degree of the leading term
 in the coordinate ring; constants are estimated from sequences of such
-solves.  Inside a sweep(), as in `curvecheb verify`, each minimax problem
-is solved once, whichever class or tau position poses it.
+solves.  Basis columns, in the design and as position-class leading
+values, are built by the one parent rule of polyring.parent_rule.  Inside
+a sweep(), as in `curvecheb verify`, each minimax problem is solved once,
+whichever class poses it.
 
 The minimax subproblem min_c max_i |f_i + (G c)_i| is solved on one thin
 QR of the design, G = Q R, after one rank decision: a column with a
@@ -38,21 +41,21 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import polyring
 from .polyring import (
     BASIS_C,
     BASIS_S,
     BivarPoly,
     _grevlex_key,
+    basis_enumerate,
     basis_through_degree,
     normal_form,
+    parent_rule,
     pow_mod,
 )
 
@@ -112,25 +115,27 @@ class _Product:
 
 
 class _Position:
-    """Leading term element pos of the degree-D block of basis B, the
-    elements before it free.  A class of this kind gives
-    position(curve, n) -> (B, D, pos), checking its indices."""
+    """Leading term the index-th element of basis B, the elements before it
+    free.  A class of this kind gives position(curve, n) -> (B, index),
+    checking its indices."""
 
-    def _element(self, curve, n):
-        basis_id, degree, pos = self.position(curve, n)
-        prefix = basis_through_degree(curve, basis_id, degree)
-        block = [el for el in prefix if el.degree == degree]
-        if pos >= len(block):
-            raise ClassSpecError(f"no position {pos} in the degree-{degree} block of {basis_id}")
-        return block[pos], prefix
+    def _prefix(self, curve, n):
+        return basis_enumerate(curve, *self.position(curve, n))
 
     def parametrize(self, curve, n):
-        el, prefix = self._element(curve, n)
-        return el.poly, prefix[: el.index - 1]
+        *free, el = self._prefix(curve, n)
+        return el.poly, free
 
     def leading_values(self, curve, n, K):
-        el, _ = self._element(curve, n)
-        return basis_values(curve, [el], K)[:, 0]
+        return basis_values(curve, self._prefix(curve, n)[-1:], K.points)[:, 0]
+
+
+def _block_position(curve, basis_id, degree, pos):
+    """(B, index) of element pos of the degree block of basis B."""
+    start = len(basis_through_degree(curve, basis_id, degree - 1))
+    if pos >= len(basis_through_degree(curve, basis_id, degree)) - start:
+        raise ClassSpecError(f"no position {pos} in the degree-{degree} block of {basis_id}")
+    return basis_id, start + pos + 1
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,7 @@ class Zk(_Position):
     def position(self, curve, n):
         if self.k > curve.d - 1:
             raise ClassSpecError(f"k must be <= d-1 = {curve.d - 1}")
-        return BASIS_S, n + self.k, self.k
+        return _block_position(curve, BASIS_S, n + self.k, self.k)
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,21 @@ class TildeMl(_Position):
     def position(self, curve, n):
         # z1^l v_j^n is element j-1 of its degree block
         _require_direction(curve, "l", self.l, self.j)
-        return BASIS_C, n * (curve.d - 1) + self.l, self.j - 1
+        return _block_position(curve, BASIS_C, n * (curve.d - 1) + self.l, self.j - 1)
+
+
+@dataclass(frozen=True)
+class Tau(_Position):
+    """Leading b_n, the n-th element of the graded basis, b_1..b_(n-1) free;
+    the norm is tau_n^deg(b_n)."""
+
+    basis_id: str
+
+    def describe(self):
+        return f"tau({self.basis_id})"
+
+    def position(self, curve, n):
+        return self.basis_id, n
 
 
 @dataclass(frozen=True)
@@ -268,34 +287,37 @@ def class_parametrize(curve, spec, n):
     return spec.parametrize(curve, n)
 
 
-def basis_values(curve, elements, K):
-    """Design matrix of basis elements at the sample points (N x m)."""
-    z1, z2 = K.z1, K.z2
-    pow1 = {}
-    pow2 = {}
-    vvals = {}
+def basis_values(curve, elements, points):
+    """Design matrix of basis elements at the (N, 2) points (N x m).
 
-    def p1(a):
-        if a not in pow1:
-            pow1[a] = z1 ** a
-        return pow1[a]
+    Each column is its generator times its parent's column (parent_rule).
+    Parents outside `elements` are evaluated on the way; every column and
+    generator is evaluated once per call.
+    """
+    points = np.asarray(points, dtype=complex)
+    z1, z2 = points[:, 0], points[:, 1]
+    cols, gens = {}, {}
 
-    def p2(b):
-        if b not in pow2:
-            pow2[b] = z2 ** b
-        return pow2[b]
+    def column(shape):
+        chain = []          # (shape, parent, generator) down to an evaluated column
+        s = shape
+        while s not in cols:
+            rule = parent_rule(curve, s)
+            if rule is None:
+                cols[s] = np.ones(len(points), dtype=complex)
+            else:
+                chain.append((s, *rule))
+                s = rule[0]
+        for s, parent, gen in reversed(chain):
+            if gen not in gens:
+                gens[gen] = gen(z1, z2)
+            cols[s] = gens[gen] * cols[parent]
+        return cols[shape]
 
-    cols = np.empty((len(K.points), len(elements)), dtype=complex)
+    out = np.empty((len(points), len(elements)), dtype=complex)
     for i, el in enumerate(elements):
-        if el.shape[0] == "monomial":
-            _, a, b = el.shape
-            cols[:, i] = p1(a) * p2(b)
-        else:
-            _, r, k, q = el.shape
-            if (k, q) not in vvals:
-                vvals[(k, q)] = curve.dirbasis[k - 1](z1, z2) ** q
-            cols[:, i] = p1(r) * vvals[(k, q)]
-    return cols
+        out[:, i] = column(el.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +591,7 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
     f = np.asarray(f, dtype=complex)
     G = basis_matrix
     if G is None:
-        G = basis_values(curve, free_basis, K) if m else np.zeros((npts, 0), dtype=complex)
+        G = basis_values(curve, free_basis, K.points)
 
     # one rank decision: columns with a negligible R_jj are dropped and the
     # rest factored again, G[:, keep] = Q R
@@ -626,11 +648,11 @@ _SWEEP_SOLVES = ContextVar("sweep_solves", default=None)
 @contextmanager
 def sweep():
     """Scope in which each minimax problem is solved once, whichever class
-    or tau position poses it.  A problem is the curve and set (by identity),
-    the leading term, the free basis (a graded basis prefix: basis id and
-    length) and the options.  Its first poser supplies the leading values;
-    later ones get that solve under their own spec and n.  A failed solve
-    is not kept."""
+    poses it.  A problem is the curve and set (by identity), the leading
+    term, the free basis (a graded basis prefix: basis id and length) and
+    the options.  Its first poser supplies the leading values; later ones
+    get that solve under their own spec and n.  A failed solve is not
+    kept."""
     token = _SWEEP_SOLVES.set({})
     try:
         yield
@@ -643,8 +665,15 @@ def sweep_solves():
     return [solve for solve, _, _ in _SWEEP_SOLVES.get().values()]
 
 
-def _problem_solve(curve, K, leading, free, opts, spec, n, solve):
-    """solve() once per problem in a sweep, labelled with spec and n."""
+def chebyshev_solve(curve, spec, K, n, opts=None):
+    """One minimax solve for the class at parameter n; in a sweep(), once
+    per problem, labelled with spec and n."""
+    leading, free = class_parametrize(curve, spec, n)
+
+    def solve():
+        return minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
+                             leading_values=spec.leading_values(curve, n, K))
+
     memo = _SWEEP_SOLVES.get()
     if memo is None:
         return solve()
@@ -657,62 +686,28 @@ def _problem_solve(curve, K, leading, free, opts, spec, n, solve):
     return hit if (hit.spec, hit.n) == (spec, n) else replace(hit, spec=spec, n=n)
 
 
-def chebyshev_solve(curve, spec, K, n, opts=None):
-    """One minimax solve for the class at parameter n."""
-    leading, free = class_parametrize(curve, spec, n)
-    return _problem_solve(
-        curve, K, leading, free, opts, spec, n,
-        lambda: minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
-                              leading_values=spec.leading_values(curve, n, K)))
-
-
 def chebyshev_sequence(curve, spec, K, n_range, opts=None):
     """One solve per class parameter.
 
-    A parameter whose class cannot be set up is skipped with a warning so
-    the rest of a sweep survives; when every parameter fails, the first
-    failure is raised.  A numerical failure (LinAlgError) is raised at
-    once, since it says nothing about the class.
+    The first parameter whose class cannot be set up or solved raises, so
+    no constant is estimated from a sequence with a hole in it.
     """
     n_range = list(n_range)
     if not n_range:
         raise ValueError("empty parameter range")
     if any(b <= a for a, b in zip(n_range, n_range[1:])):
         raise ValueError("parameter range must be increasing")
-    out = []
-    failures = []
-    for n in n_range:
-        try:
-            out.append(chebyshev_solve(curve, spec, K, n, opts))
-        except np.linalg.LinAlgError:
-            raise
-        except (ClassSpecError, ValueError) as exc:
-            warnings.warn(f"solve at n={n} failed: {exc}")
-            failures.append(exc)
-    if not out:
-        raise failures[0]
-    return out
+    return [chebyshev_solve(curve, spec, K, n, opts) for n in n_range]
 
 
 def tau_sequence(curve, K, basis_id, count, opts=None):
-    """tau solves for the first `count` positions of a graded basis.
+    """Solves of Tau(basis_id) at the first `count` positions.
 
-    Position j's class is {b_j + span(b_1..b_{j-1})}; its norm equals
-    tau_j raised to deg(b_j).  Position 1 has degree 0 and carries no tn.
-    In a sweep() a position shares its solve with any class posing the
-    same problem, such as the matching Zk class of the S basis.
+    Position 1 has degree 0 and carries no tn.  In a sweep() a position
+    shares its solve with any class posing the same problem, such as the
+    matching Zk class of the S basis.
     """
-    elems = polyring.basis_enumerate(curve, basis_id, count)
-    G = basis_values(curve, elems, K)
-    return [
-        _problem_solve(
-            curve, K, el.poly, elems[: j - 1], opts, ("tau", basis_id, j), j,
-            lambda: minimax_solve(
-                el.poly, elems[: j - 1], K, opts, curve=curve,
-                leading_values=G[:, j - 1], basis_matrix=G[:, : j - 1],
-                spec=("tau", basis_id, j), n=j))
-        for j, el in enumerate(elems, start=1)
-    ]
+    return chebyshev_sequence(curve, Tau(basis_id), K, range(1, count + 1), opts)
 
 
 @dataclass

@@ -344,6 +344,11 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
     K = sample(curve, cfg.build_descriptor())
     assertions = []
     table_lines = ["class\tn\tnorm\ttn"]
+    # one greedy S-basis run serves the tau ratio check and the S diameter:
+    # it ends on a complete degree block, and its picks are incremental
+    depth_tau = min(cfg.n_max, 8)
+    m_tau, _ = block_counts(curve, BASIS_S, depth_tau)
+    run = leja_extend(leja_start(curve, K, BASIS_S), m_tau)
 
     if curve.dirbasis is not None:
         rep = comparison_report(curve, K, cfg.n_max, cfg.solver, tol_scale=tol_scale)
@@ -356,7 +361,7 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
         depth = max(cfg.n_max, 24)
         m_needed, _ = block_counts(curve, BASIS_S, depth)
         if m_needed <= len(K.points):
-            dS, _ = transfinite_diameter(curve, K, BASIS_S, depth)
+            dS, _ = transfinite_diameter(curve, K, BASIS_S, depth, run=run)
             dC, _ = transfinite_diameter(curve, K, BASIS_C, depth)
             assertions.append(_assert_eq("diameter agrees between orderings", dS, dC,
                                          0.10 * tol_scale))
@@ -366,10 +371,6 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
                                          dC, product, 0.15 * tol_scale))
 
     # tau ratio inequality along the S ordering
-    depth_tau = min(cfg.n_max, 8)
-    m_tau, _ = block_counts(curve, BASIS_S, depth_tau)
-    run = leja_start(curve, K, BASIS_S)
-    leja_extend(run, m_tau)
     taus = tau_sequence(curve, K, BASIS_S, m_tau, cfg.solver)
     slack = 0.05 * tol_scale
     for rec in vn_tau_check(run, taus, slack=slack):

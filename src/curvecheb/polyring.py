@@ -4,8 +4,9 @@ Everything downstream works in C[A] = C[z1, z2]/(P) for a degree-d curve
 A = {P = 0} whose leading homogeneous part factors as C * prod(z2 - lam_k z1)
 with the lam_k distinct and nonzero.  This module provides the polynomial
 arithmetic, curve validation, normal forms in the quotient, the two graded
-bases S (standard monomials) and C (directional), and the structural
-identities that the rest of the package relies on.
+bases S (standard monomials) and C (directional) with the one parent rule
+by which their elements are evaluated, and the structural identities that
+the rest of the package relies on.
 
 Each Curve carries a private cache, filled on first use and gone with the
 curve: the power table NF(p^q) of every polynomial p raised by pow_mod,
@@ -421,8 +422,8 @@ class BasisElement:
     poly: BivarPoly     # normal form representative
     degree: int
     label: str
-    # For fast evaluation: S elements are monomials (a, b); C elements are
-    # z1^r * v_k^q stored as (r, k, q) with k 1-based.
+    # ("monomial", a, b) for z1^a z2^b, ("dir", r, k, q) for z1^r v_k^q
+    # (k 1-based); parent_rule reads it
     shape: tuple
 
 
@@ -489,6 +490,31 @@ def basis_block(curve, basis_id, n, start_index=1):
             BasisElement(BASIS_C, start_index + len(out), poly, n, f"z1^{r}*v{k}^{q}", ("dir", r, k, q))
         )
     return out
+
+
+Z1 = BivarPoly.monomial(1, 0)
+Z2 = BivarPoly.monomial(0, 1)
+
+
+def parent_rule(curve, shape):
+    """(parent shape, generator) of a basis element, or None for 1.
+
+    Each element is its generator times its parent, an element of the same
+    basis: z1^a z2^b is z1 * z1^(a-1) z2^b, or z2 * z2^(b-1) when a = 0
+    (standard monomials form an order ideal), and z1^r v_k^q is
+    z1 * z1^(r-1) v_k^q, or v_k * v_k^(q-1) when r = 0, with v_k^0 = 1.
+    Design matrices, position-class leading values and Leja columns are all
+    built by this one rule.
+    """
+    if shape[0] == "monomial":
+        _, a, b = shape
+        if a > 0:
+            return ("monomial", a - 1, b), Z1
+        return (("monomial", 0, b - 1), Z2) if b > 0 else None
+    _, r, k, q = shape
+    if r > 0:
+        return ("dir", r - 1, k, q), Z1
+    return (("dir", 0, k, q - 1) if q > 1 else ("monomial", 0, 0)), curve.dirbasis[k - 1]
 
 
 def expand_in_basis(curve, p, basis_id):
@@ -567,7 +593,7 @@ def basis_combination(curve, basis_id, coeffs):
 
 @dataclass(frozen=True)
 class CjkTable:
-    """entries[j, k-1] = c_jk in z1^j z2^(d-1-j) = sum_k c_jk v_k + lower."""
+    """entries[j, k-1] = c_jk in z1^j z2^(d-1-j) = sum_k c_jk v_k."""
 
     entries: np.ndarray
 
@@ -576,16 +602,11 @@ class CjkTable:
 
 
 def cjk_table(curve):
+    # the v_k are the Lagrange basis of the degree-(d-1) forms at the points
+    # (1, lam_k), so z1^j z2^(d-1-j) = sum_k lam_k^(d-1-j) v_k exactly
     curve.require_directional("c_jk table")
-    d = curve.d
-    entries = np.zeros((d, d), dtype=complex)
-    # positions of the degree-(d-1) block v_1..v_d inside the C prefix
-    prefix = basis_through_degree(curve, BASIS_C, d - 1)
-    block = [i for i, el in enumerate(prefix) if el.degree == d - 1]
-    for j in range(d):
-        p = normal_form(curve, BivarPoly.monomial(j, d - 1 - j))
-        coeffs = expand_in_basis(curve, p, BASIS_C)
-        entries[j] = coeffs[block]
+    lam = np.array(curve.directions, dtype=complex)
+    entries = lam[None, :] ** (curve.d - 1 - np.arange(curve.d))[:, None]
     if np.min(np.abs(entries)) <= CJK_TOL:
         raise CurveError("curve violates the nonvanishing of the c_jk numerically")
     return CjkTable(entries=entries)

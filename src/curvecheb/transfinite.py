@@ -6,12 +6,14 @@ the earlier picks, which lower-bounds the true sup but shares its n-th root
 asymptotics in practice.  Diameter estimates are the l_n-th roots of the
 greedy V at completed degree blocks, with l_n the sum of basis degrees.
 
-Working columns are generated in Newton form: the column of a basis
-element is its parent element's remainder column times a degree-one
-generator (z1, z2 or a directional v_k), then eliminated against the steps
-since the parent.  This change of basis is unit-triangular, so determinant
-bookkeeping is exact, and it sidesteps the catastrophic cancellation that
-kills raw Vandermonde columns beyond degree ~40 on sets of capacity != 1.
+Working columns are generated in Newton form by the parent rule of
+polyring.parent_rule, the one that builds the minimax design matrices: the
+column of a basis element is its parent element's remainder column times
+the element's generator (z1, z2 or a directional v_k), then eliminated
+against the steps since the parent.  This change of basis is
+unit-triangular, so determinant bookkeeping is exact, and it sidesteps the
+catastrophic cancellation that kills raw Vandermonde columns beyond degree
+~40 on sets of capacity != 1.
 All determinant work happens in log-modulus space; raw determinants
 overflow doubles around degree ten.
 """
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polyring import basis_enumerate, basis_through_degree
-from .chebyshev import basis_values
+from .polyring import basis_enumerate, basis_through_degree, parent_rule
+from .chebyshev import Tau, basis_values
 
 NEG_INF = float("-inf")
 
@@ -37,36 +39,11 @@ def log_vdm(curve, basis_id, pts):
     pts = np.asarray(pts, dtype=complex)
     if pts.ndim != 2 or len(pts) < 1:
         raise ValueError("need a nonempty list of points")
-    m = len(pts)
-    elems = basis_enumerate(curve, basis_id, m)
-
-    class _K:  # minimal point-holder for basis_values
-        z1 = pts[:, 0]
-        z2 = pts[:, 1]
-        points = pts
-
-    M = basis_values(curve, elems, _K).T  # rows: basis, cols: points
+    M = basis_values(curve, basis_enumerate(curve, basis_id, len(pts)), pts).T
     sign, logdet = np.linalg.slogdet(M)
     if sign == 0:
         return NEG_INF
     return float(logdet)
-
-
-def _parent_recipe(shape):
-    """(parent shape, generator tag) of a basis element, or None for 1."""
-    if shape[0] == "monomial":
-        _, a, b = shape
-        if a == 0 and b == 0:
-            return None
-        if a > 0:
-            return ("monomial", a - 1, b), ("z1",)
-        return ("monomial", 0, b - 1), ("z2",)
-    _, r, k, q = shape
-    if r > 0:
-        return ("dir", r - 1, k, q), ("z1",)
-    if q > 1:
-        return ("dir", 0, k, q - 1), ("v", k)
-    return ("monomial", 0, 0), ("v", k)
 
 
 @dataclass
@@ -91,27 +68,15 @@ class LejaRun:
     _gens: dict = field(default_factory=dict, repr=False)     # generator values
     _used: np.ndarray = field(default=None, repr=False)
 
-    def _generator_values(self, tag):
-        if tag in self._gens:
-            return self._gens[tag]
-        K = self.candidates
-        if tag == ("z1",):
-            vals = np.asarray(K.z1, dtype=complex)
-        elif tag == ("z2",):
-            vals = np.asarray(K.z2, dtype=complex)
-        else:
-            _, k = tag
-            vals = self.curve.dirbasis[k - 1](K.z1, K.z2)
-        self._gens[tag] = vals
-        return vals
-
     def _new_column(self, el):
-        recipe = _parent_recipe(el.shape)
-        if recipe is None:
+        rule = parent_rule(self.curve, el.shape)
+        if rule is None:
             return np.ones(len(self.candidates.points), dtype=complex)
-        parent_shape, gen = recipe
+        parent_shape, gen = rule
+        if gen not in self._gens:
+            self._gens[gen] = gen(self.candidates.z1, self.candidates.z2)
         src = self._step_of[parent_shape]
-        col = self._generator_values(gen) * self._W[src]
+        col = self._gens[gen] * self._W[src]
         for k in range(src, len(self._W)):
             i_k, p_k = self._pivots[k]
             col = col - self._W[k] * (col[i_k] / p_k)
@@ -191,6 +156,8 @@ def transfinite_diameter(curve, K, basis_id, n_max, run=None):
         )
     if run is None:
         run = leja_start(curve, K, basis_id)
+    elif not (run.curve is curve and run.candidates is K and run.basis_id == basis_id):
+        raise ValueError("the run was started on another curve, set or basis")
     missing = m_n - len(run.selected)
     if missing > 0:
         leja_extend(run, missing)
@@ -226,10 +193,7 @@ def vn_tau_check(run, tau_solves, slack=0.05):
     for j, solve in enumerate(tau_solves, start=1):
         if j > len(run.increments):
             break
-        spec = solve.spec
-        if not (isinstance(spec, tuple) and spec[0] == "tau" and spec[1] == run.basis_id):
-            raise ValueError("tau sequence does not align with the run's basis")
-        if spec[2] != j:
+        if not (solve.spec == Tau(run.basis_id) and solve.n == j):
             raise ValueError("tau sequence does not align with the run's basis")
         ratio = float(np.exp(run.increments[j - 1]))
         bound = j * solve.norm

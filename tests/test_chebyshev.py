@@ -14,6 +14,7 @@ from curvecheb.chebyshev import (
     MRQ,
     Mz1jVk,
     SolverOptions,
+    Tau,
     TildeMl,
     Zk,
     ClassSpecError,
@@ -143,7 +144,7 @@ class TestMinimaxSolve:
         s = chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), interval_set, 4,
                             SolverOptions(max_iter=800, tol=1e-10))
         leading, free = class_parametrize(hyp, MQ(hyp.dirbasis[0]), 4)
-        G = basis_values(hyp, free, interval_set)
+        G = basis_values(hyp, free, interval_set.points)
         base = leading(interval_set.z1, interval_set.z2) + G @ s.coeffs
         assert np.max(np.abs(base)) == pytest.approx(s.norm, rel=1e-12)
         delta = 1e-6 * s.norm
@@ -357,6 +358,17 @@ class TestMinimaxProperties:
         assert early.norm - early.gap <= full.norm * (1 + 1e-12)
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 11), st.integers(1, 12))
+    def test_larger_free_basis_never_raises_the_certified_minimum(self, cloud12, seed, m, extra):
+        # the m columns span a subspace of the m' columns, so the m'-column
+        # minimum, and with it its certified lower bound, is at most the
+        # m-column minimum
+        f, G = _random_problem(seed, 12, min(m + extra, 12))
+        small = _solve_fg(cloud12, f, G[:, :m])
+        large = _solve_fg(cloud12, f, G)
+        assert large.norm - large.gap <= small.norm * (1 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 11), st.sampled_from([2, 4, 6, 500]))
     def test_dual_bound_is_below_the_attained_max(self, seed, m, max_iter):
         # the bound as _minimax returns it, before minimax_solve clips the gap
@@ -480,7 +492,7 @@ class TestTauSequence:
 
     def test_alignment_tags(self, hyp, torus_set):
         taus = tau_sequence(hyp, torus_set, BASIS_S, 5)
-        assert [t.spec[2] for t in taus] == [1, 2, 3, 4, 5]
+        assert [(t.spec, t.n) for t in taus] == [(Tau(BASIS_S), j) for j in range(1, 6)]
 
 
 class TestComparisonReport:
@@ -558,7 +570,7 @@ class TestSweep:
         with chebyshev.sweep():
             for _ in range(2):
                 # the 31 points cannot carry the 39 free elements at n = 20
-                with pytest.warns(UserWarning, match="n=20 failed"):
+                with pytest.raises(ValueError, match="must not exceed the sample"):
                     chebyshev_sequence(hyp, Zk(0), K, [1, 20])
         assert solves == [1, 20, 20]
 
@@ -588,7 +600,7 @@ class TestSweep:
             taus = tau_sequence(hyp, torus_set_small, BASIS_S, 7)
         # positions 2, 4, 6 are z1^n (Zk(0)) and 5, 7 are z2 z1^n (Zk(1))
         assert solves == [1, 3]
-        assert [t.spec for t in taus] == [("tau", BASIS_S, j) for j in range(1, 8)]
+        assert [(t.spec, t.n) for t in taus] == [(Tau(BASIS_S), j) for j in range(1, 8)]
         assert [taus[j - 1].norm for j in (2, 4, 6, 5, 7)] == [s.norm for s in z0 + z1]
 
     def test_relabelled_hit_is_a_copy(self, hyp, torus_set_small, solves):

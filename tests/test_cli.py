@@ -121,9 +121,8 @@ class TestCheb:
         assert "outside 0..1 on a degree-2 curve" in capsys.readouterr().err
 
     def test_every_parameter_failing_reports_the_cause(self, capsys, torus_config):
-        with pytest.warns(UserWarning, match="failed"):
-            rc = main(["cheb", "--config", torus_config, "--class", "mv:1",
-                       "--n-min", "40", "--n-max", "41", "--resolution", "64"])
+        rc = main(["cheb", "--config", torus_config, "--class", "mv:1",
+                   "--n-min", "40", "--n-max", "41", "--resolution", "64"])
         assert rc == 2
         assert "must not exceed the sample" in capsys.readouterr().err
 
@@ -250,6 +249,22 @@ class TestVerify:
         solves, unconverged, worst, _ = self._health(capsys.readouterr().out)
         assert solves > 0 and unconverged == 0 and worst <= 1e-8
 
+    def test_asymmetric_torus_passes(self, capsys, tmp_path):
+        # |v1| = 1, |v2| = 1/4: T = (1, 1/4), the one example whose
+        # directional constants are untied, so the strict ordering is run
+        cfg = write_config(tmp_path / "asym.json",
+                           set={"kind": "absv1v2torus", "r1": 1.0, "r2": 0.25})
+        out = tmp_path / "rep"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        total = (out / "verify_report.txt").read_text().splitlines()[-1]
+        assert total.split("\t")[:4] == ["total", "53", "failed", "0"]
+        assert self._health(capsys.readouterr().out)[1] == 0
+        assert main(["robin", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "strictly increasing\ttrue" in lines
+        rhos = [float(l.split("\t")[1]) for l in lines[1:3]]
+        assert rhos == pytest.approx([0.0, np.log(4.0)], abs=1e-8)
+
     def test_zero_tolerance_negative_control(self, tmp_path, torus_config):
         assert main(["verify", "--config", torus_config, "--n-max", "6",
                      "--tolerance-scale", "0"]) == 1
@@ -270,7 +285,7 @@ class TestVerify:
         # each problem is solved and counted once, the tau positions included
         solves, unconverged, _, _ = self._health(stdout)
         assert f"non-convergence in {unconverged} of {len(calls)} solves" in err
-        assert solves == len(calls) and any(isinstance(spec, tuple) for spec in calls)
+        assert solves == len(calls) and any(isinstance(spec, chebyshev.Tau) for spec in calls)
         # with the flag the exit code is the assertion verdict, and the
         # health line still shows the unconverged solves
         rc = main(["verify", "--config", cfg, "--allow-unconverged", "--out", str(out)])

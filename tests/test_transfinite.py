@@ -46,14 +46,8 @@ class TestLogVdm:
         m = 9
         idx = rng.choice(len(torus_set.points), m, replace=False)
         pts = torus_set.points[idx]
-
-        class _K:
-            z1 = pts[:, 0]
-            z2 = pts[:, 1]
-            points = pts
-
         elems = basis_enumerate(hyp, BASIS_S, m)
-        M = basis_values(hyp, elems, _K)          # points x basis
+        M = basis_values(hyp, elems, pts)          # points x basis
         U = np.eye(m, dtype=complex)
         U[np.triu_indices(m, k=1)] = 0.5 * (rng.normal(size=m * (m - 1) // 2)
                                             + 1j * rng.normal(size=m * (m - 1) // 2))
@@ -99,6 +93,18 @@ class TestLeja:
         est, run = transfinite_diameter(hyp, torus_set, BASIS_S, 24)
         assert abs(est - 0.5) / 0.5 < 0.15
         assert len(run.points) == block_counts(hyp, BASIS_S, 24)[0]
+
+    def test_extended_run_matches_a_fresh_one(self, hyp, torus_set):
+        # a run stopped at a complete degree block and extended later makes
+        # the picks and the estimate of one run made at once
+        m8, _ = block_counts(hyp, BASIS_S, 8)
+        run = leja_extend(leja_start(hyp, torus_set, BASIS_S), m8)
+        est, run = transfinite_diameter(hyp, torus_set, BASIS_S, 24, run=run)
+        fresh_est, fresh = transfinite_diameter(hyp, torus_set, BASIS_S, 24)
+        assert (est, run.selected, run.diam_estimates) == (fresh_est, fresh.selected,
+                                                          fresh.diam_estimates)
+        with pytest.raises(ValueError, match="another curve, set or basis"):
+            transfinite_diameter(hyp, torus_set, BASIS_C, 24, run=run)
 
     def test_disk_diameter_example(self, hyp, disk1_set):
         est, _ = transfinite_diameter(hyp, disk1_set, BASIS_S, 24)
