@@ -5,36 +5,30 @@ product kind (MQ, MRQ, Mz1jVk: leading term NF(R Q^n), every term of lower
 degree free) or of the position kind (Zk, TildeMl, Tau: an element of a
 graded basis, the elements before it free; Tau(B) at n is the n-th element
 of B, whose norm is tau_n^deg).  T_n values are the n-th roots of the
-minimal sup norms over a SampledSet, n being the degree of the leading term
-in the coordinate ring; constants are estimated from sequences of such
-solves.  Basis columns, in the design and as position-class leading
-values, are built by the one parent rule of polyring.parent_rule.  Inside
-a sweep(), as in `curvecheb verify`, each minimax problem is solved once,
-whichever class poses it.
+minimal sup norms over a SampledSet, n the degree of the leading term in
+the coordinate ring.  In a sweep(), as in `curvecheb verify`, each minimax
+problem is solved once, whichever class poses it.
 
-The minimax subproblem min_c max_i |f_i + (G c)_i| is solved on one thin
-QR of the design, G = Q R, after one rank decision: a column with a
-negligible |R_jj| is dropped (coefficient 0, recorded as ridge_used).  With
-f = Q fq + f', f' orthogonal to range(Q) and scaled to sup norm 1, it is
-min_u max_i |f'_i + (Q u)_i| in u = R c + fq, and norms and bounds are read
-off there, never from f + G c, which cancels when |f| >> norm.  That is the
-second-order cone program: minimise t subject to |f'_i + (Q u)_i| <= t, one
-3-dimensional cone per sample point, solved by a primal-dual interior-point
-method with Mehrotra predictor-corrector steps and Nesterov-Todd scaling.
-Its first iteration, the start, is the closed-form uniform-weight least
-squares point u = 0.  Each further iteration solves its Newton systems
-through the Cholesky factor of the Newton matrix A^T W^-2 A, and only when
-that matrix is numerically singular through a QR of W^-1 A over chunks of
-sample points.  SolverOptions.max_iter caps the iterations, the first
-included.
+Each problem is posed on the orthonormal design Q of its basis on K, built
+by Arnoldi once per (K, basis) and cached on K; extending it is the one
+rank decision (_Design).  The class gives its leading residual f, the
+leading term projected off the free span: a position class the one its
+element stores, a product class R projected, then n times multiplied by Q
+and projected.  min_u max_i |f_i + (Q u)_i| is the second-order cone
+program min t subject to |f_i + (Q u)_i| <= t, one cone per sample point,
+solved by a primal-dual interior-point method with Mehrotra
+predictor-corrector steps and Nesterov-Todd scaling from the closed-form
+least squares point u = 0 (SolverOptions.max_iter counts it).  Newton
+systems go through the Cholesky factor of A^T W^-2 A, and only where that
+is numerically singular through a QR of W^-1 A over chunks of points.  The
+minimizer is f's polynomial plus sum u_i q_i over the column polynomials.
 
-Every iterate's max modulus is an upper bound, and so is the bare leading
-term's.  The certificate is a lower bound: sqrt(mean |f'|^2) at the start,
-then, once the method's own duality gap is below tol * t, the classical
-dual bound |y^H f'| / |y|_1 of complex Chebyshev approximation, y the dual
-iterate zeta projected onto the orthogonal complement of range(Q) (Rivlin
-and Shapiro, J. SIAM 9, 1961).  A solve is converged when
-norm <= lb * (1 + tol), and gap = norm - lb.
+Every iterate's max modulus is an upper bound.  The certificate is a lower
+bound: sqrt(mean |f|^2) at the start, then, once the method's own duality
+gap is below tol * t, the dual bound |y^H f| / |y|_1 of complex Chebyshev
+approximation, y the dual iterate projected onto the orthogonal complement
+of range(Q) (Rivlin and Shapiro, J. SIAM 9, 1961).  A solve is converged
+when norm <= lb * (1 + tol), and gap = norm - lb.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,15 +97,23 @@ class _Product:
     def parametrize(self, curve, n):
         q = self.base(curve)
         leading = normal_form(curve, self.prefactor * pow_mod(curve, q, n))
-        if leading.is_zero:
-            raise ClassSpecError("leading term reduces to zero in the coordinate ring")
+        # leading_residual projects R Q^i off degree < deg R + i deg Q
+        if leading.degree != self.prefactor.degree + n * q.degree:
+            raise ClassSpecError("leading term loses degree in the coordinate ring")
         return leading, basis_through_degree(curve, BASIS_S, int(leading.degree) - 1)
 
-    def leading_values(self, curve, n, K):
-        # product form avoids the cancellation incurred by expanding high
-        # powers; the values agree with the normal form on the curve
-        q = self.base(curve)
-        return self.prefactor(K.z1, K.z2) * q(K.z1, K.z2) ** n
+    def leading_residual(self, curve, n, K):
+        """(values on K, polynomial) of R Q^n projected off the S basis below
+        its degree: R projected, then n times multiplied by Q and projected,
+        so no value holds the cancellation of R Q^n against lower terms."""
+        q, r = self.base(curve), normal_form(curve, self.prefactor)
+        vals, poly = r(K.z1, K.z2), r
+        for i in range(n + 1):
+            if i:
+                vals, poly = q(K.z1, K.z2) * vals, normal_form(curve, q * poly)
+            below = basis_through_degree(curve, BASIS_S, int(r.degree + i * q.degree) - 1)
+            vals, poly = _design(curve, K, BASIS_S).project(vals, poly, len(below))
+        return vals, poly
 
 
 class _Position:
@@ -119,15 +121,14 @@ class _Position:
     free.  A class of this kind gives position(curve, n) -> (B, index),
     checking its indices."""
 
-    def _prefix(self, curve, n):
-        return basis_enumerate(curve, *self.position(curve, n))
-
     def parametrize(self, curve, n):
-        *free, el = self._prefix(curve, n)
+        *free, el = basis_enumerate(curve, *self.position(curve, n))
         return el.poly, free
 
-    def leading_values(self, curve, n, K):
-        return basis_values(curve, self._prefix(curve, n)[-1:], K.points)[:, 0]
+    def leading_residual(self, curve, n, K):
+        """(values on K, polynomial) of the element's residual in its design."""
+        basis_id, index = self.position(curve, n)
+        return _design(curve, K, basis_id).residual(index)
 
 
 def _block_position(curve, basis_id, degree, pos):
@@ -267,9 +268,8 @@ class ChebSolve:
     tn: float
     iterations: int
     converged: bool
-    ridge_used: bool = False    # the design was numerically rank deficient and columns were dropped
+    ridge_used: bool = False    # the design dropped a column of the free basis, dependent on K
     gap: float = 0.0            # certified optimality gap: norm - lower bound
-    coeffs: np.ndarray = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +288,15 @@ def class_parametrize(curve, spec, n):
 
 
 def basis_values(curve, elements, points):
-    """Design matrix of basis elements at the (N, 2) points (N x m).
-
-    Each column is its generator times its parent's column (parent_rule).
-    Parents outside `elements` are evaluated on the way; every column and
-    generator is evaluated once per call.
-    """
+    """Design matrix of a graded basis prefix at the (N, 2) points (N x m):
+    each column is its generator times its parent's column (parent_rule)."""
     points = np.asarray(points, dtype=complex)
-    z1, z2 = points[:, 0], points[:, 1]
-    cols, gens = {}, {}
-
-    def column(shape):
-        chain = []          # (shape, parent, generator) down to an evaluated column
-        s = shape
-        while s not in cols:
-            rule = parent_rule(curve, s)
-            if rule is None:
-                cols[s] = np.ones(len(points), dtype=complex)
-            else:
-                chain.append((s, *rule))
-                s = rule[0]
-        for s, parent, gen in reversed(chain):
-            if gen not in gens:
-                gens[gen] = gen(z1, z2)
-            cols[s] = gens[gen] * cols[parent]
-        return cols[shape]
-
+    cols = {}
     out = np.empty((len(points), len(elements)), dtype=complex)
     for i, el in enumerate(elements):
-        out[:, i] = column(el.shape)
+        rule = parent_rule(curve, el.shape)
+        cols[el.shape] = out[:, i] = (np.ones(len(points)) if rule is None else
+                                      rule[1](points[:, 0], points[:, 1]) * cols[rule[0]])
     return out
 
 
@@ -332,7 +312,7 @@ EPS = np.finfo(float).eps
 T0 = 1.5                # starting t over the max modulus of f
 CHUNK_POINTS = 128      # sample points per block of design rows
 STEP = 0.99             # fraction of the step to the cone boundary taken
-SINGULAR_RATIO = 1e-14  # |R_jj| / max |R_ii| at or below which a column is dropped
+SINGULAR_RATIO = 1e-14  # norm kept by projection at or below which a column is dropped
 
 
 def _dot(u0, u1, v0, v1):
@@ -463,15 +443,15 @@ def _normal_inverse(G, W):
     return Ri
 
 
-def _minimax(G, f, seed, opts):
+def _minimax(G, f, opts):
     """Discrete complex minimax min_c max_i |f_i + (G c)_i|, where
     G^H G = npts I (orthogonal columns of RMS 1 over the points, which the
     projection of the dual bound relies on), f is orthogonal to them and
     max |f| = 1.
 
     Returns (c, norm, lb, iterations, converged): the best coefficients
-    found, the seed c included, their max modulus, a certified lower bound
-    of the minimum, and the solve's bookkeeping.
+    found, c = 0 included, their max modulus, a certified lower bound of
+    the minimum, and the solve's bookkeeping.
     """
     npts, m = G.shape
     n = 2 * m + 1
@@ -482,11 +462,9 @@ def _minimax(G, f, seed, opts):
 
     # iteration 1: as f is orthogonal to range(G), the uniform-weight least
     # squares point is c = 0, with residual f; it is also the starting point
-    best_c, best_ub = seed, float(np.max(np.abs(f + G @ seed)))
     c, r = np.zeros(m, dtype=complex), f
     t, lb = float(np.max(np.abs(f))), float(np.sqrt(np.mean(np.abs(f) ** 2)))
-    if t < best_ub:
-        best_c, best_ub = c, t
+    best_c, best_ub = c, t
     iterations = 1
     converged = best_ub <= lb * (1.0 + tol)
     t *= T0
@@ -571,71 +549,106 @@ def _minimax(G, f, seed, opts):
     return best_c, best_ub, lb, iterations, converged
 
 
-def minimax_solve(leading, free_basis, K, opts=None, *, curve=None,
-                  leading_values=None, basis_matrix=None, spec=None, n=None):
+def _combine(poly, polys, coeffs):
+    """poly + sum coeffs[i] * polys[i], summed in one pass."""
+    acc = poly.terms
+    for p, c in zip(polys, coeffs):
+        for mon, v in p.terms.items():
+            acc[mon] = acc.get(mon, 0j) + c * v
+    return BivarPoly(acc)
+
+
+class _Design:
+    """Orthonormal columns of a graded basis on a sample, built by Arnoldi
+    (Brubeck, Nakatsukasa and Trefethen, SIAM Rev. 63, 2021) as elements
+    are asked for.  Element j is its generator g times its parent p
+    (polyring.parent_rule); its residual r_j, its part orthogonal on K to
+    the elements before it, is g r_p projected twice off the columns so
+    far.  This is the one rank decision: if projection keeps at most
+    SINGULAR_RATIO of |g r_p|, b_j depends on earlier elements on K and its
+    column is dropped, as are its descendants'; else r_j / |r_j| is the
+    next column.  Residuals and columns carry their normal-form polynomials.
+    """
+
+    def __init__(self, curve, points, basis_id):
+        self.curve, self.points, self.basis_id = curve, points, basis_id
+        self.Q = np.zeros((len(points), 0), dtype=complex)
+        self.polys = []         # polynomial of each column
+        self.residuals = {}     # shape -> (values, polynomial, has a column)
+
+    def residual(self, count):
+        """Residual (values, polynomial) of element `count`, 1-based."""
+        for el in basis_enumerate(self.curve, self.basis_id, count)[len(self.residuals):]:
+            rule = parent_rule(self.curve, el.shape)
+            if rule is None:
+                vals, poly, alive = np.ones(len(self.points), dtype=complex), el.poly, True
+            else:
+                (vals, poly, alive), gen = self.residuals[rule[0]], rule[1]
+                vals = gen(self.points[:, 0], self.points[:, 1]) * vals
+                poly = normal_form(self.curve, gen * poly)
+            before = np.linalg.norm(vals)
+            vals, poly = self.project(vals, poly, len(self.residuals))
+            after = np.linalg.norm(vals)
+            alive = alive and after > SINGULAR_RATIO * before
+            self.residuals[el.shape] = (vals, poly, alive)
+            if alive:
+                self.Q = np.column_stack([self.Q, vals / after])
+                self.polys.append(poly * (1.0 / after))
+        return list(self.residuals.values())[count - 1][:2]
+
+    def columns(self, count):
+        """The columns of the first `count` elements and their polynomials."""
+        if count > len(self.residuals):
+            self.residual(count)
+        k = sum(alive for *_, alive in list(self.residuals.values())[:count])
+        return self.Q[:, :k], self.polys[:k]
+
+    def project(self, vals, poly, count):
+        """vals and poly projected twice off the first `count` elements' columns."""
+        Q, polys = self.columns(count)
+        h = Q.conj().T @ vals
+        vals = vals - Q @ h
+        dh = Q.conj().T @ vals
+        return vals - Q @ dh, _combine(poly, polys, -(h + dh))
+
+
+def _design(curve, K, basis_id):
+    """The design of basis_id on K, cached on K (holding the curve's id)."""
+    return K._cache.setdefault((id(curve), basis_id), _Design(curve, K.points, basis_id))
+
+
+def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n=None):
     """Chebyshev polynomial of the affine family leading + span(free_basis).
 
-    leading is a BivarPoly in normal form; free_basis a list of
-    BasisElement.  Returns a ChebSolve whose minimizer never does worse
-    than the pure leading term and whose tn is norm ** (1/total_degree).
+    leading is a BivarPoly in normal form; free_basis a graded basis prefix.
+    The leading residual is the class spec's at parameter n, or without a
+    spec leading projected.  The ChebSolve's tn is norm ** (1/total_degree).
     """
     opts = (opts or SolverOptions()).validated()
-    npts = len(K.points)
-    m = len(free_basis)
+    npts, m = len(K.points), len(free_basis)
     if m > npts:
         raise ValueError(f"free basis ({m}) must not exceed the sample ({npts})")
 
-    f = leading_values
-    if f is None:
-        f = leading(K.z1, K.z2)
-    f = np.asarray(f, dtype=complex)
-    G = basis_matrix
-    if G is None:
-        G = basis_values(curve, free_basis, K.points)
-
-    # one rank decision: columns with a negligible R_jj are dropped and the
-    # rest factored again, G[:, keep] = Q R
-    Q, R = np.linalg.qr(G)
-    diag = np.abs(np.diag(R))
-    keep = diag > SINGULAR_RATIO * np.max(diag, initial=0.0)
-    if not keep.all():
-        Q, R = np.linalg.qr(G[:, keep])
-    # f = Q fq + fp with fp orthogonal to range(Q), projected twice
-    fq = Q.conj().T @ f
-    fp = f - Q @ fq
-    dq = Q.conj().T @ fp
-    fq, fp = fq + dq, fp - Q @ dq
+    basis_id = free_basis[0].basis_id if free_basis else BASIS_S
+    if [(el.basis_id, el.index) for el in free_basis] != [(basis_id, i + 1) for i in range(m)]:
+        raise ValueError("free basis must be a graded basis prefix")
+    design = _design(curve, K, basis_id)
+    fp, poly = (design.project(leading(K.z1, K.z2), leading, m) if spec is None
+                else spec.leading_residual(curve, n, K))
+    Q, polys = design.columns(m)
     fscale = float(np.max(np.abs(fp))) or 1.0
 
-    # in u = R c + fq the residual is fp + Q u, and the seed u = fq is c = 0;
     # Q rms has columns of RMS 1 on K like the t column: balanced Newton matrices
     rms = np.sqrt(npts)
-    u, best_ub, lb, iterations, converged = _minimax(Q * rms, fp / fscale, fq / fscale / rms, opts)
-    best_ub *= fscale
-    lb *= fscale
-    coeffs = np.zeros(m, dtype=complex)
-    if keep.any():
-        coeffs[keep] = np.linalg.solve(R, u * fscale * rms - fq)
-    minimizer = leading
-    for cval, el in zip(coeffs, free_basis):
-        if cval != 0:
-            minimizer = minimizer + el.poly * cval
+    u, norm, lb, iterations, converged = _minimax(Q * rms, fp / fscale, opts)
+    norm, lb = norm * fscale, lb * fscale
+    minimizer = _combine(poly, polys, u * (fscale * rms))
 
     total_degree = int(leading.degree)
-    tn = best_ub ** (1.0 / total_degree) if total_degree > 0 else float("nan")
-    return ChebSolve(
-        spec=spec,
-        n=n if n is not None else 0,
-        total_degree=total_degree,
-        minimizer=minimizer,
-        norm=best_ub,
-        tn=tn,
-        iterations=iterations,
-        converged=converged,
-        ridge_used=not keep.all(),
-        gap=max(best_ub - lb, 0.0),
-        coeffs=coeffs,
-    )
+    tn = norm ** (1.0 / total_degree) if total_degree > 0 else float("nan")
+    return ChebSolve(spec=spec, n=n if n is not None else 0, total_degree=total_degree,
+                     minimizer=minimizer, norm=norm, tn=tn, iterations=iterations,
+                     converged=converged, ridge_used=Q.shape[1] < m, gap=max(norm - lb, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +663,7 @@ def sweep():
     """Scope in which each minimax problem is solved once, whichever class
     poses it.  A problem is the curve and set (by identity), the leading
     term, the free basis (a graded basis prefix: basis id and length) and
-    the options.  Its first poser supplies the leading values; later ones
+    the options.  Its first poser supplies the leading residual; later ones
     get that solve under their own spec and n.  A failed solve is not
     kept."""
     token = _SWEEP_SOLVES.set({})
@@ -671,8 +684,7 @@ def chebyshev_solve(curve, spec, K, n, opts=None):
     leading, free = class_parametrize(curve, spec, n)
 
     def solve():
-        return minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
-                             leading_values=spec.leading_values(curve, n, K))
+        return minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n)
 
     memo = _SWEEP_SOLVES.get()
     if memo is None:

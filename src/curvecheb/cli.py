@@ -263,10 +263,10 @@ def cmd_cheb(cfg, out, class_text, n_min, n_max, allow_unconverged):
         raise ConfigError("empty parameter range")
     K = sample(curve, cfg.build_descriptor())
     seq = chebyshev_sequence(curve, spec, K, range(n_min, n_max + 1), cfg.solver)
-    lines = ["class\tn\tnorm\ttn\titers\tgap\tconverged"]
+    lines = ["class\tn\tnorm\ttn\titers\tgap\tconverged\tdropped"]
     for s in seq:
-        lines.append(f"{spec.describe()}\t{s.n}\t{_fmt(s.norm)}\t{_fmt(s.tn)}"
-                     f"\t{s.iterations}\t{_fmt(s.gap)}\t{str(s.converged).lower()}")
+        lines.append(f"{spec.describe()}\t{s.n}\t{_fmt(s.norm)}\t{_fmt(s.tn)}\t{s.iterations}"
+                     f"\t{_fmt(s.gap)}\t{str(s.converged).lower()}\t{str(s.ridge_used).lower()}")
     print("\n".join(lines))
     if out:
         _write_lines(Path(out) / "cheb_table.tsv", lines)

@@ -34,7 +34,7 @@ SEPARATION_TOL = 1e-7
 # A direction of modulus below this counts as a horizontal asymptote.
 ZERO_DIR_TOL = 1e-8
 
-DELTA_TOL = 1e-10      # v_j(1, lam_k) = delta_jk check
+DELTA_TOL = 1e-10      # v_j(1, lam_k) = delta_jk check, relative to the size of v_j
 CJK_TOL = 1e-10        # nonvanishing bound for the c_jk coefficients
 
 NEG_INF = float("-inf")
@@ -333,11 +333,12 @@ def curve_new(P, relaxed=False):
                 factor = BivarPoly({(0, 1): 1.0, (1, 0): -directions[j]})
                 v = v * factor * (1.0 / (directions[k] - directions[j]))
             vs.append(v)
-        for j in range(d):
-            for k in range(d):
-                want = 1.0 if j == k else 0.0
-                got = vs[j](1.0, directions[k])
-                if abs(got - want) > DELTA_TOL:
+        # near-equal directions give v_j coefficients of order 1/separation
+        for j, v in enumerate(vs):
+            size = sum(abs(c) for c in v.terms.values())
+            for k, lam in enumerate(directions):
+                err = abs(v(1.0, lam) - (j == k))
+                if err > DELTA_TOL * size * max(1.0, abs(lam)) ** (d - 1):
                     raise CurveError("directional basis failed delta normalization")
         dirbasis = tuple(vs)
     elif not relaxed:
@@ -503,7 +504,7 @@ def parent_rule(curve, shape):
     basis: z1^a z2^b is z1 * z1^(a-1) z2^b, or z2 * z2^(b-1) when a = 0
     (standard monomials form an order ideal), and z1^r v_k^q is
     z1 * z1^(r-1) v_k^q, or v_k * v_k^(q-1) when r = 0, with v_k^0 = 1.
-    Design matrices, position-class leading values and Leja columns are all
+    Orthonormal designs, raw design matrices and Leja columns are all
     built by this one rule.
     """
     if shape[0] == "monomial":

@@ -117,6 +117,9 @@ class SampledSet:
     descriptor: object
     curve: object
     max_residual: float
+    # orthonormal designs (chebyshev._design), built lazily; not part of the
+    # set's value
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) == 0:

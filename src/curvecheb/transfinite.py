@@ -7,7 +7,7 @@ asymptotics in practice.  Diameter estimates are the l_n-th roots of the
 greedy V at completed degree blocks, with l_n the sum of basis degrees.
 
 Working columns are generated in Newton form by the parent rule of
-polyring.parent_rule, the one that builds the minimax design matrices: the
+polyring.parent_rule, the one that builds the minimax designs: the
 column of a basis element is its parent element's remainder column times
 the element's generator (z1, z2 or a directional v_k), then eliminated
 against the steps since the parent.  This change of basis is
@@ -199,20 +199,3 @@ def vn_tau_check(run, tau_solves, slack=0.05):
         bound = j * solve.norm
         out.append(VnTauRecord(j, ratio, bound, ratio <= bound * (1.0 + slack)))
     return out
-
-
-def weighted_tau_mean(tau_sub):
-    """Weighted geometric mean (prod tau_nu^nu)^(1/sum nu).
-
-    tau_sub holds (nu, tau) pairs; a zero tau makes the mean 0 by the
-    -inf log convention.
-    """
-    if not tau_sub:
-        raise ValueError("empty tau list")
-    wsum = sum(nu for nu, _ in tau_sub)
-    acc = 0.0
-    for nu, tau in tau_sub:
-        if tau <= 0.0:
-            return 0.0
-        acc += nu * np.log(tau)
-    return float(np.exp(acc / wsum))

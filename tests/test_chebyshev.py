@@ -58,6 +58,12 @@ class TestClassParametrize:
         with pytest.raises(ClassSpecError, match="homogeneous"):
             MQ(Z1 + BivarPoly.constant(1.0))
 
+    def test_degree_losing_product_refused(self, hyp):
+        # v2 v1 is constant on the hyperbola, so v2 v1^n has degree n - 1:
+        # its residual cannot be built by projecting off degree < n + 1
+        with pytest.raises(ClassSpecError, match="loses degree"):
+            class_parametrize(hyp, MRQ(hyp.dirbasis[1], hyp.dirbasis[0]), 2)
+
     def test_c_classes_refused_on_relaxed_curve(self, aeps):
         with pytest.raises(Exception, match="relaxed"):
             class_parametrize(aeps, Mz1jVk(0, 1), 2)
@@ -78,8 +84,10 @@ class TestClassParametrize:
             lead_u, free_u = class_parametrize(hyp, unit, n)
             assert list(lead_u.terms.items()) == list(lead_p.terms.items())
             assert free_u == free_p
-            assert np.array_equal(unit.leading_values(hyp, n, torus_set_small),
-                                  plain.leading_values(hyp, n, torus_set_small))
+            vals_u, poly_u = unit.leading_residual(hyp, n, torus_set_small)
+            vals_p, poly_p = plain.leading_residual(hyp, n, torus_set_small)
+            assert np.array_equal(vals_u, vals_p)
+            assert list(poly_u.terms.items()) == list(poly_p.terms.items())
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_direction_class_without_prefactor_is_the_power_class(self, hyp, torus_set_small, k):
@@ -88,7 +96,6 @@ class TestClassParametrize:
             b = chebyshev_solve(hyp, MQ(hyp.dirbasis[k - 1]), torus_set_small, n)
             assert a.minimizer == b.minimizer
             assert a.norm == b.norm
-            assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_product_free_basis_sizes_on_cubic(self, cubic7):
         def sizes(spec):
@@ -99,6 +106,11 @@ class TestClassParametrize:
         assert sizes(MRQ(Z1 * Z2, cubic7.dirbasis[0])) == [9, 15, 21, 27]
         assert sizes(Mz1jVk(0, 2)) == [3, 9, 15, 21]
         assert sizes(Mz1jVk(1, 2)) == [6, 12, 18, 24]
+
+
+@pytest.fixture(scope="module")
+def interval512(hyp):
+    return sample(hyp, Z2Interval(-1.0, 1.0, resolution=512))
 
 
 class TestMinimaxSolve:
@@ -126,6 +138,11 @@ class TestMinimaxSolve:
         leading, free = class_parametrize(hyp, Zk(0), 3)
         with pytest.raises(ValueError, match="free basis"):
             minimax_solve(leading, free, K, curve=hyp)
+        # the design holds basis prefixes only
+        K4 = sample(hyp, PointCloud(points=tuple((a * np.sqrt(2) + 0j, b + 0j)
+                                                for a in (1, -1) for b in (1, -1))))
+        with pytest.raises(ValueError, match="graded basis prefix"):
+            minimax_solve(leading, free[1:], K4, curve=hyp)
 
     def test_leading_coefficient_is_exactly_one(self, hyp, interval_set):
         s = chebyshev_solve(hyp, Zk(0), interval_set, 5)
@@ -143,9 +160,9 @@ class TestMinimaxSolve:
         # convex, so a drop beyond gap + first-order slack is a bug)
         s = chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), interval_set, 4,
                             SolverOptions(max_iter=800, tol=1e-10))
-        leading, free = class_parametrize(hyp, MQ(hyp.dirbasis[0]), 4)
+        _, free = class_parametrize(hyp, MQ(hyp.dirbasis[0]), 4)
         G = basis_values(hyp, free, interval_set.points)
-        base = leading(interval_set.z1, interval_set.z2) + G @ s.coeffs
+        base = s.minimizer(interval_set.z1, interval_set.z2)
         assert np.max(np.abs(base)) == pytest.approx(s.norm, rel=1e-12)
         delta = 1e-6 * s.norm
         col_scale = float(np.max(np.abs(G)))
@@ -165,36 +182,40 @@ class TestMinimaxSolve:
             assert bigger.norm - bigger.gap <= smaller.norm * (1 + 1e-9)
 
     def test_rank_deficient_design_uses_ridge(self, hyp):
-        # z2 and z1*z2 are proportional on these three points, so the free
-        # columns are linearly dependent on K
-        K = sample(hyp, PointCloud(points=((1 + 0j, 0j), (-1 + 0j, 0j),
-                                           (np.sqrt(2) + 0j, 1 + 0j))))
-        free = [b for b in basis_through_degree(hyp, BASIS_S, 2)
-                if b.label in ("z1^0*z2^0", "z1^0*z2^1", "z1^1*z2^1")]
-        s = minimax_solve(BivarPoly.monomial(3, 0), free, K, curve=hyp)
+        # z1^2 = 2 on these four points, so the free prefix 1, z1, z2, z1^2
+        # of z1 z2 is linearly dependent on K
+        K = sample(hyp, PointCloud(points=tuple((a * np.sqrt(2) + 0j, b + 0j)
+                                               for a in (1, -1) for b in (1, -1))))
+        leading, free = class_parametrize(hyp, Zk(1), 1)
+        assert [b.label for b in free][-1] == "z1^2*z2^0"
+        s = minimax_solve(leading, free, K, curve=hyp)
         assert s.ridge_used
         assert np.isfinite(s.norm)
-        # z1^3 is 1 and -1 at the first two points, where only the
-        # constant can move it
-        assert s.norm == pytest.approx(1.0, rel=1e-6)
+        # z1 z2 is +-sqrt(2) and orthogonal on K to 1, z1 and z2
+        assert s.norm == pytest.approx(np.sqrt(2), rel=1e-6)
 
-    def test_interval_solves_to_degree_24_converge(self, hyp):
-        # monomial-type designs on the interval: |f| / norm reaches ~1e6 and
-        # the columns are nearly dependent, yet the design keeps full rank
-        K = sample(hyp, Z2Interval(-1.0, 1.0, resolution=512))
+    def test_interval_solves_to_degree_24_converge(self, hyp, interval512):
+        # and on to degree 40: the raw monomials reach cond 1e15 near degree
+        # 28 on the interval, the orthonormal design keeps full rank, and
+        # M(v1) follows its closed form tn = 0.5 (2 sqrt 2)^(1/n)
         for spec in (MQ(hyp.dirbasis[0]), Zk(0), Zk(1)):
-            for n in range(1, 25):
-                s = chebyshev_solve(hyp, spec, K, n)
+            for n in range(1, 41):
+                s = chebyshev_solve(hyp, spec, interval512, n)
                 assert s.converged and s.gap <= SolverOptions().tol * s.norm, (spec, n)
                 assert not s.ridge_used, (spec, n)
+                if spec == MQ(hyp.dirbasis[0]) and n >= 8:
+                    assert abs(s.tn - 0.5 * (2 * np.sqrt(2)) ** (1 / n)) <= 1e-3, n
 
-    def test_log_norm_subadditive(self, hyp, disk07_set):
-        solves = {n: chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), disk07_set, n)
-                  for n in range(1, 9)}
-        for m in range(1, 5):
-            for n in range(1, 5):
-                s = solves[m + n]
-                assert s.norm - s.gap <= solves[m].norm * solves[n].norm * (1 + 1e-9)
+    def test_log_norm_subadditive(self, hyp, disk07_set, interval512):
+        # the product of the minimizers at a and at b is in the class at
+        # a + b, so norm(a + b) <= norm(a) norm(b) exactly on the sample
+        for K, n_max in ((disk07_set, 8), (interval512, 40)):
+            solves = {n: chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), K, n)
+                      for n in range(1, n_max + 1)}
+            for n in range(2, n_max + 1):
+                for a in range(1, n):
+                    bound = solves[a].norm * solves[n - a].norm
+                    assert solves[n].norm - solves[n].gap <= bound * (1 + 1e-9), (n, a)
 
 
 class TestScalingLaws:
@@ -226,16 +247,6 @@ def _random_problem(seed, npts, m):
     f = rng.normal(size=npts) + 1j * rng.normal(size=npts)
     G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
     return f, G
-
-
-@pytest.fixture(scope="module")
-def cloud12(hyp):
-    """Twelve points of the hyperbola and a free basis of 13 elements, enough
-    for square designs; the property tests pass their own (f, G) and use
-    these for the shapes."""
-    x = np.linspace(-2.0, 2.0, 12)
-    K = sample(hyp, PointCloud(points=tuple((np.sqrt(1 + t * t) + 0j, t + 0j) for t in x)))
-    return K, basis_through_degree(hyp, BASIS_S, 6)
 
 
 def _random_scaling(rng, npts):
@@ -313,10 +324,17 @@ class TestNewtonFactor:
             SolverOptions(**kwargs).validated()
 
 
-def _solve_fg(cloud, f, G, opts=None):
-    K, basis = cloud
-    return minimax_solve(BivarPoly.monomial(4, 0), basis[:G.shape[1]], K, opts,
-                         leading_values=f, basis_matrix=G)
+def _solve_fg(f, G, opts=None):
+    """The _minimax kernel on the QR'd design of G: f projected off range(G)
+    as fp, Q with columns of RMS 1, and the solve, scaled back, with its
+    residual fp + Q u, its bound lb and gap = max(norm - lb, 0)."""
+    npts = len(f)
+    Q = np.linalg.qr(G)[0] * np.sqrt(npts)
+    fp = f - Q @ (Q.conj().T @ f) / npts
+    scale = float(np.max(np.abs(fp))) or 1.0
+    u, norm, lb, _, converged = chebyshev._minimax(Q, fp / scale, opts or SolverOptions())
+    return SimpleNamespace(fp=fp, Q=Q, u=u * scale, norm=norm * scale, lb=lb * scale,
+                           gap=max(norm - lb, 0.0) * scale, converged=converged)
 
 
 problems = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
@@ -325,69 +343,67 @@ problems = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
 class TestMinimaxProperties:
     @settings(max_examples=60, deadline=None)
     @given(problems)
-    def test_bounds_bracket_the_minimum(self, cloud12, problem):
+    def test_bounds_bracket_the_minimum(self, problem):
         seed, m = problem
         f, G = _random_problem(seed, 12, m)
-        s = _solve_fg(cloud12, f, G)
+        s = _solve_fg(f, G)
         lb = s.norm - s.gap
-        assert 0.0 <= lb <= s.norm <= np.max(np.abs(f)) * (1 + 1e-12)
-        assert np.max(np.abs(f + G @ s.coeffs)) == pytest.approx(s.norm, rel=1e-12)
+        # f is a member of the family fp + range(Q), and u = 0 is the start
+        assert 0.0 <= lb <= s.norm <= np.max(np.abs(s.fp)) * (1 + 1e-12)
+        assert lb <= np.max(np.abs(f)) * (1 + 1e-12)
+        assert np.max(np.abs(s.fp + s.Q @ s.u)) == pytest.approx(s.norm, rel=1e-12)
         # lb bounds the max modulus of every member of the family
         rng = np.random.default_rng(seed + 1)
         for _ in range(5):
-            c = s.coeffs + 0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-            assert np.max(np.abs(f + G @ c)) >= lb * (1 - 1e-12)
+            u = s.u + 0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            assert np.max(np.abs(s.fp + s.Q @ u)) >= lb * (1 - 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(problems, st.sampled_from([1e-4, 1e-8, 1e-10]))
-    def test_converged_means_certified(self, cloud12, problem, tol):
+    def test_converged_means_certified(self, problem, tol):
         seed, m = problem
         f, G = _random_problem(seed, 12, m)
-        s = _solve_fg(cloud12, f, G, SolverOptions(tol=tol))
+        s = _solve_fg(f, G, SolverOptions(tol=tol))
         assert s.converged
         assert s.gap <= tol * s.norm
 
     @settings(max_examples=60, deadline=None)
     @given(problems, st.integers(2, 6))
-    def test_early_stop_bound_is_below_the_minimum(self, cloud12, problem, max_iter):
+    def test_early_stop_bound_is_below_the_minimum(self, problem, max_iter):
         seed, m = problem
         f, G = _random_problem(seed, 12, m)
-        early = _solve_fg(cloud12, f, G, SolverOptions(max_iter=max_iter))
-        full = _solve_fg(cloud12, f, G)
+        early = _solve_fg(f, G, SolverOptions(max_iter=max_iter))
+        full = _solve_fg(f, G)
         assert full.converged
         assert early.norm - early.gap <= full.norm * (1 + 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 11), st.integers(1, 12))
-    def test_larger_free_basis_never_raises_the_certified_minimum(self, cloud12, seed, m, extra):
+    def test_larger_free_basis_never_raises_the_certified_minimum(self, seed, m, extra):
         # the m columns span a subspace of the m' columns, so the m'-column
         # minimum, and with it its certified lower bound, is at most the
         # m-column minimum
         f, G = _random_problem(seed, 12, min(m + extra, 12))
-        small = _solve_fg(cloud12, f, G[:, :m])
-        large = _solve_fg(cloud12, f, G)
+        small = _solve_fg(f, G[:, :m])
+        large = _solve_fg(f, G)
         assert large.norm - large.gap <= small.norm * (1 + 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 11), st.sampled_from([2, 4, 6, 500]))
     def test_dual_bound_is_below_the_attained_max(self, seed, m, max_iter):
-        # the bound as _minimax returns it, before minimax_solve clips the gap
-        # at 0; a square design leaves no room for it (null(G^H) = {0})
-        f, G = _random_problem(seed, 12, m)
-        Q = np.linalg.qr(G)[0] * np.sqrt(12)
-        fp = f - Q @ (Q.conj().T @ f) / 12
-        _, norm, lb, _, _ = chebyshev._minimax(Q, fp / np.max(np.abs(fp)), np.zeros(m, dtype=complex),
-                                               SolverOptions(max_iter=max_iter))
-        assert lb <= norm * (1 + 1e-12)
+        # the bound as _minimax returns it, before the gap is clipped at 0; a
+        # square design leaves no room for it (null(G^H) = {0})
+        s = _solve_fg(*_random_problem(seed, 12, m), SolverOptions(max_iter=max_iter))
+        assert s.lb <= s.norm * (1 + 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(problems, st.floats(1e-3, 1e3), st.floats(0.0, 2 * np.pi))
-    def test_norm_scales_with_f(self, cloud12, problem, modulus, phase):
+    def test_norm_scales_with_f(self, problem, modulus, phase):
         seed, m = problem
         f, G = _random_problem(seed, 12, m)
         alpha = modulus * np.exp(1j * phase)
-        a = _solve_fg(cloud12, f, G)
-        b = _solve_fg(cloud12, alpha * f, G)
+        a = _solve_fg(f, G)
+        b = _solve_fg(alpha * f, G)
         assert b.norm == pytest.approx(abs(alpha) * a.norm, rel=1e-9)
 
 

@@ -142,13 +142,22 @@ class TestCheb:
                      "--n-max", "4", "--out", str(out)]) == 0
         lines = (out / "cheb_table.tsv").read_text().splitlines()
         assert lines == capsys.readouterr().out.splitlines()
-        assert lines[0].split("\t") == ["class", "n", "norm", "tn", "iters", "gap", "converged"]
+        assert lines[0].split("\t") == ["class", "n", "norm", "tn", "iters", "gap", "converged",
+                                        "dropped"]
         assert len(lines) == 5
         for row in lines[1:]:
-            _, _, norm, _, iters, gap, converged = row.split("\t")
+            _, _, norm, _, iters, gap, converged, dropped = row.split("\t")
             assert int(iters) >= 1
             assert 0.0 <= float(gap) <= 1e-8 * float(norm)
             assert converged == "true"
+            assert dropped == "false"
+        # z1^2 = 2 on the four points (+-sqrt 2, +-1): the free prefix of
+        # z1 z2 drops a column
+        cloud = tmp_path / "cloud.txt"
+        cloud.write_text("".join(f"{a * 2 ** 0.5} 0 {b} 0\n" for a in (1, -1) for b in (1, -1)))
+        cfg = write_config(tmp_path / "cloud.json", set={"kind": "pointcloud", "path": str(cloud)})
+        assert main(["cheb", "--config", cfg, "--class", "zk:1", "--n-max", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[7] == "true"
 
     def test_table_marks_unconverged_solves(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "hard.json",

@@ -120,6 +120,26 @@ class TestCurveNew:
         with pytest.raises(CurveError, match="degree >= 2"):
             curve_new(Z1 + Z2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(phase=st.floats(0.0, 2 * np.pi), phase2=st.floats(0.0, 2 * np.pi),
+           t=st.floats(0.0, 1.0))
+    def test_direction_tolerances(self, phase, phase2, t):
+        # (z2 - lam z1)(z2 - mu z1) - 1 with |lam| = 1; the band between
+        # the two separation cases is left out: the roots of a near-double
+        # root carry errors of about sqrt(eps) there
+        lam = complex(np.exp(1j * phase))
+
+        def curve(mu):
+            return curve_new((Z2 - Z1 * lam) * (Z2 - Z1 * complex(mu)) - 1.0)
+
+        with pytest.raises(CurveError, match="non-distinct directions"):
+            curve(lam * (1 + 3e-8 * t))
+        # the v_j grow like 1 / (mu - lam), and their check scales with them
+        assert curve(lam * (1 + 3e-7 * 10 ** (6 * t))).dirbasis is not None
+        with pytest.raises(CurveError, match="axis-parallel asymptote"):
+            curve(3e-9 * t * np.exp(1j * phase2))
+        assert curve(3e-8 * 10 ** (6 * t) * np.exp(1j * phase2)).dirbasis is not None
+
     def test_delta_normalization_on_random_curves(self):
         for seed in range(5):
             curve = random_valid_curve(4, seed=seed)

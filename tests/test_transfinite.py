@@ -3,7 +3,7 @@ import pytest
 
 from curvecheb import Z1Disk, sample
 from curvecheb.polyring import BASIS_C, BASIS_S
-from curvecheb.chebyshev import constant_estimate, tau_sequence
+from curvecheb.chebyshev import tau_sequence
 from curvecheb.transfinite import (
     block_counts,
     leja_extend,
@@ -11,7 +11,6 @@ from curvecheb.transfinite import (
     log_vdm,
     transfinite_diameter,
     vn_tau_check,
-    weighted_tau_mean,
 )
 
 
@@ -155,30 +154,3 @@ class TestVnTau:
         with pytest.raises(ValueError, match="align"):
             vn_tau_check(run, taus)
 
-
-class TestWeightedTauMean:
-    def test_constant_sequence(self):
-        assert weighted_tau_mean([(nu, 0.7) for nu in range(1, 9)]) == pytest.approx(0.7)
-
-    def test_power_decay_closed_form(self):
-        # tau_nu = c^(1/nu) gives (prod c)^(1/Sigma) = c^(2/(m+1))
-        c, m = 0.3, 12
-        got = weighted_tau_mean([(nu, c ** (1.0 / nu)) for nu in range(1, m + 1)])
-        assert got == pytest.approx(c ** (2.0 / (m + 1)), rel=1e-12)
-
-    def test_zero_tau_collapses(self):
-        assert weighted_tau_mean([(1, 0.5), (2, 0.0)]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_tau_mean([])
-
-    def test_matches_ordered_class_estimate(self, hyp, torus_set):
-        # tau values at the S positions of the second block element track
-        # the corresponding ordered-class constant
-        from curvecheb.chebyshev import Zk, chebyshev_sequence
-
-        seq = chebyshev_sequence(hyp, Zk(1), torus_set, range(1, 13))
-        est = constant_estimate(seq)
-        wtm = weighted_tau_mean([(nu, s.tn) for nu, s in enumerate(seq, start=1)])
-        assert abs(wtm - est.estimate) / est.estimate < 0.10
