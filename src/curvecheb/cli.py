@@ -340,6 +340,8 @@ def cmd_extremal(cfg, out, n):
 
 @sweep()
 def cmd_verify(cfg, out, tol_scale, allow_unconverged):
+    if not (math.isfinite(tol_scale) and tol_scale >= 0):
+        raise ConfigError(f"--tolerance-scale must be finite and >= 0, not {tol_scale!r}")
     curve = cfg.build_curve()
     K = sample(curve, cfg.build_descriptor())
     assertions = []

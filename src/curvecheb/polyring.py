@@ -10,15 +10,18 @@ the rest of the package relies on.
 
 Each Curve carries a private cache, filled on first use and gone with the
 curve: the power table NF(p^q) of every polynomial p raised by pow_mod,
-and the S and C basis prefixes, built block by block.  A degree-n C
-element z1^r v_k^q is z1^r times a table entry, so no power is recomputed.
+and the S and C basis prefixes, built block by block.  A basis element
+builds its polynomial on first read and keeps it; a degree-n C element
+z1^r v_k^q is then z1^r times a table entry, so no power is recomputed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -418,14 +421,32 @@ BASIS_C = "C"
 
 @dataclass(frozen=True)
 class BasisElement:
+    """An element of a graded basis, named by its shape.  Its normal form
+    is built on the first read of `poly` (ReferenceError once its curve is
+    gone) and kept; it is not part of the element's value, so comparing or
+    printing elements builds none."""
+
     basis_id: str
     index: int          # 1-based position in the graded ordering
-    poly: BivarPoly     # normal form representative
     degree: int
     label: str
     # ("monomial", a, b) for z1^a z2^b, ("dir", r, k, q) for z1^r v_k^q
     # (k 1-based); parent_rule reads it
     shape: tuple
+    # weak, or the curve and its cache of elements would form a cycle
+    curve_ref: weakref.ref = field(repr=False, compare=False)
+
+    @cached_property
+    def poly(self):
+        """Normal-form representative: z1^a z2^b, or NF(z1^r NF(v_k^q))."""
+        if self.shape[0] == "monomial":
+            return BivarPoly.monomial(*self.shape[1:])
+        _, r, k, q = self.shape
+        curve = self.curve_ref()
+        if curve is None:
+            raise ReferenceError(f"the curve of basis element {self.label} no longer exists")
+        return normal_form(curve, BivarPoly.monomial(r, 0)
+                           * pow_mod(curve, curve.dirbasis[k - 1], q))
 
 
 def _standard_monomials_of_degree(curve, n):
@@ -469,28 +490,23 @@ def basis_through_degree(curve, basis_id, degree):
 
 
 def basis_block(curve, basis_id, n, start_index=1):
-    """The degree-n block of the chosen basis, indexed from start_index."""
+    """The degree-n block of the chosen basis, indexed from start_index;
+    its elements build their polynomials when first read."""
     if basis_id not in (BASIS_S, BASIS_C):
         raise ValueError(f"unknown basis id {basis_id!r}")
     if basis_id == BASIS_C:
         curve.require_directional("basis C")
+    ref = weakref.ref(curve)
     if basis_id == BASIS_S or n <= curve.d - 2:
         return [
-            BasisElement(basis_id, start_index + i, BivarPoly.monomial(a, b), n,
-                         f"z1^{a}*z2^{b}", ("monomial", a, b))
+            BasisElement(basis_id, start_index + i, n, f"z1^{a}*z2^{b}", ("monomial", a, b), ref)
             for i, (a, b) in enumerate(_standard_monomials_of_degree(curve, n))
         ]
     q, r = divmod(n, curve.d - 1)
-    out = []
-    for k in range(1, curve.d + 1):
-        poly = normal_form(
-            curve,
-            BivarPoly.monomial(r, 0) * pow_mod(curve, curve.dirbasis[k - 1], q),
-        )
-        out.append(
-            BasisElement(BASIS_C, start_index + len(out), poly, n, f"z1^{r}*v{k}^{q}", ("dir", r, k, q))
-        )
-    return out
+    return [
+        BasisElement(BASIS_C, start_index + k - 1, n, f"z1^{r}*v{k}^{q}", ("dir", r, k, q), ref)
+        for k in range(1, curve.d + 1)
+    ]
 
 
 Z1 = BivarPoly.monomial(1, 0)

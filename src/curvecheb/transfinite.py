@@ -29,6 +29,11 @@ from .chebyshev import Tau, basis_values
 
 NEG_INF = float("-inf")
 
+# Greedy scores within this fraction of the best count as tied, and the
+# lowest candidate index among them is picked: symmetric sets have exact
+# ties that rounding would otherwise break one way or the other.
+LEJA_TIE_REL = 1e-9
+
 
 def log_vdm(curve, basis_id, pts):
     """log |det [b_j(zeta_k)]| for the first len(pts) basis elements.
@@ -93,9 +98,9 @@ def leja_extend(run, count):
     """Greedily append `count` points, updating diameter estimates.
 
     Each pick maximizes the modulus of the Vandermonde determinant of the
-    selected points given the earlier ones; ties resolve to the lowest
-    candidate index (np.argmax).  Raises if every remaining candidate
-    yields a singular configuration.
+    selected points given the earlier ones; scores within LEJA_TIE_REL of
+    the best tie, and ties resolve to the lowest candidate index.  Raises
+    if every remaining candidate yields a singular configuration.
     """
     n_cand = len(run.candidates.points)
     target = len(run.selected) + count
@@ -108,9 +113,10 @@ def leja_extend(run, count):
         col = run._new_column(el)
         run._step_of[el.shape] = step
         scores = np.where(run._used, 0.0, np.abs(col))
-        i = int(np.argmax(scores))
-        if scores[i] == 0.0:
+        best = scores.max()
+        if best == 0.0:
             raise RuntimeError("degenerate candidate set")
+        i = int(np.argmax(scores >= best * (1.0 - LEJA_TIE_REL)))
         piv = col[i]
         run._W.append(col)
         run._pivots.append((i, piv))

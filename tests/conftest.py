@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvecheb import AbsV1V2Torus, BidiskTrace, Z1Disk, Z2Interval, sample
+from curvecheb import AbsV1V2Torus, BidiskTrace, Z1Disk, Z2Interval, polyring, sample
 from curvecheb.gallery import coordinate_hyperbola, hyperbola, random_valid_curve
 
 # one line per acceptance criterion, echoed in the terminal summary
@@ -58,6 +58,19 @@ def disk07_set(hyp):
 @pytest.fixture(scope="session")
 def bidisk_set(aeps):
     return sample(aeps, BidiskTrace(1.0, 1.0, resolution=1024))
+
+
+@pytest.fixture
+def ring_calls(monkeypatch):
+    """Names of the polyring.normal_form and pow_mod calls made while the
+    test runs, in call order."""
+    calls = []
+    for name in ("normal_form", "pow_mod"):
+        def counted(*args, _name=name, _real=getattr(polyring, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(polyring, name, counted)
+    return calls
 
 
 def inverse_joukowski_oracle(z):

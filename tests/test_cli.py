@@ -278,6 +278,13 @@ class TestVerify:
         assert main(["verify", "--config", torus_config, "--n-max", "6",
                      "--tolerance-scale", "0"]) == 1
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+    def test_nonsensical_tolerance_scale_is_invalid(self, capsys, torus_config, scale):
+        # inf would pass every assertion, nan and negatives fail them all
+        assert main(["verify", "--config", torus_config, "--n-max", "6",
+                     "--tolerance-scale", scale]) == 2
+        assert "--tolerance-scale" in capsys.readouterr().err
+
     def test_unconverged_solve_exits_nonconverged(self, capsys, monkeypatch, tmp_path):
         calls = []
         real = chebyshev.minimax_solve

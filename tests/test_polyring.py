@@ -252,6 +252,23 @@ class TestBasisCache:
                     assert el.poly == _scratch_element(curve, shape)
             assert i == len(elems)
 
+    def test_enumeration_and_equality_build_no_polynomial(self, cubic7, ring_calls):
+        curve = curve_new(cubic7.defining)
+        elems = basis_through_degree(curve, BASIS_C, 24)
+        assert basis_enumerate(curve, BASIS_C, len(elems)) == elems
+        assert "poly" not in repr(elems)
+        assert ring_calls == []
+        # the polynomial is built on first read and kept
+        last = elems[-1]
+        assert last.poly is last.poly
+        assert ring_calls.count("normal_form") > 0
+
+    def test_element_of_a_dropped_curve(self, cubic7):
+        # elements hold their curve weakly, so its cache forms no cycle
+        last = basis_enumerate(curve_new(cubic7.defining), BASIS_C, 9)[-1]
+        with pytest.raises(ReferenceError, match="z1\\^1\\*v3\\^1 no longer exists"):
+            last.poly
+
     def test_pow_mod_equals_scratch_powers(self, cubic7):
         curve = curve_new(cubic7.defining)
         v = curve.dirbasis[1]

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from curvecheb import Z1Disk, sample
-from curvecheb.polyring import BASIS_C, BASIS_S
+from curvecheb.gallery import random_valid_curve
+from curvecheb.polyring import BASIS_C, BASIS_S, BivarPoly, curve_new, leading_part
 from curvecheb.chebyshev import tau_sequence
 from curvecheb.transfinite import (
     block_counts,
@@ -105,6 +108,17 @@ class TestLeja:
         with pytest.raises(ValueError, match="another curve, set or basis"):
             transfinite_diameter(hyp, torus_set, BASIS_C, 24, run=run)
 
+    @pytest.mark.parametrize("basis", [BASIS_S, BASIS_C])
+    def test_picks_ignore_rounding_level_ties(self, hyp, torus_set_small, basis):
+        # the symmetric torus has exactly tied candidates; a relative
+        # change of 2.8e-16 of the sample must not break the ties another way
+        K = torus_set_small
+        shifted = dataclasses.replace(K, points=K.points * (1 + 2.8e-16))
+        est, run = transfinite_diameter(hyp, K, basis, 24)
+        est_shifted, run_shifted = transfinite_diameter(hyp, shifted, basis, 24)
+        assert run_shifted.selected == run.selected
+        assert est_shifted == pytest.approx(est, rel=1e-9)
+
     def test_disk_diameter_example(self, hyp, disk1_set):
         est, _ = transfinite_diameter(hyp, disk1_set, BASIS_S, 24)
         assert abs(est - 1.0) < 0.15
@@ -125,6 +139,24 @@ class TestDiameterAgreement:
         assert abs(dS - dC) / dC < 0.10
         assert abs(dS - 0.5) / 0.5 < 0.15
         assert abs(dC - 0.5) / 0.5 < 0.15
+
+
+class TestLazyPolynomials:
+    def test_c_diameter_builds_no_polynomial(self, ring_calls):
+        # the seeded cubic with every lower-order term on the r = 1.2
+        # z1-disk, as in the diameter-cubic benchmark: the greedy run
+        # reads shapes and degrees only, and its columns come from the
+        # parent rule
+        lead = leading_part(random_valid_curve(3, seed=7).defining)
+        rng = np.random.default_rng([3, 7])
+        lower = {(n - b, b): 0.3 * complex(rng.normal(), rng.normal())
+                 for n in range(3) for b in range(n + 1)}
+        lower[(0, 0)] += 1.0
+        curve = curve_new(lead + BivarPoly(lower))
+        K = sample(curve, Z1Disk(1.2, resolution=4096))
+        est, _ = transfinite_diameter(curve, K, BASIS_C, 40)
+        assert ring_calls == []
+        assert abs(est - 1.2) / 1.2 < 0.15
 
 
 class TestVnTau:
