@@ -18,10 +18,15 @@ and projected.  min_u max_i |f_i + (Q u)_i| is the second-order cone
 program min t subject to |f_i + (Q u)_i| <= t, one cone per sample point,
 solved by a primal-dual interior-point method with Mehrotra
 predictor-corrector steps and Nesterov-Todd scaling from the closed-form
-least squares point u = 0 (SolverOptions.max_iter counts it).  Newton
-systems go through the Cholesky factor of A^T W^-2 A, and only where that
-is numerically singular through a QR of W^-1 A over chunks of points.  The
-minimizer is f's polynomial plus sum u_i q_i over the column polynomials.
+least squares point u = 0 (SolverOptions.max_iter counts it).  Every
+Newton system goes through one factorization, the eigendecomposition of
+its normal matrix A^T W^-2 A with eigenvalues below eps times the largest
+raised to that floor, which keeps the step finite where the matrix is
+singular near the optimum (Wright, Primal-Dual Interior-Point Methods,
+SIAM 1997, ch. 11).  Where eps cond(A^T W^-2 A) exceeds tol, conjugate
+gradients preconditioned by that factor refine the step against
+A^T W^-2 A applied unformed.  The minimizer is f's polynomial plus
+sum u_i q_i over the column polynomials.
 
 Every iterate's max modulus is an upper bound.  The certificate is a lower
 bound: sqrt(mean |f|^2) at the start, then, once the method's own duality
@@ -310,7 +315,6 @@ def basis_values(curve, elements, points):
 
 EPS = np.finfo(float).eps
 T0 = 1.5                # starting t over the max modulus of f
-CHUNK_POINTS = 128      # sample points per block of design rows
 STEP = 0.99             # fraction of the step to the cone boundary taken
 SINGULAR_RATIO = 1e-14  # norm kept by projection at or below which a column is dropped
 
@@ -354,6 +358,20 @@ class _NTScaling:
         return ((self.w0 * u0 - d) / self.beta,
                 (u1 + (d / (1.0 + self.w0) - u0) * self.w1) / self.beta)
 
+    def inverse_square(self, u0, u1):
+        """W^-2 u, summed over the eigenvectors of W: (1, +-e) / sqrt(2)
+        with eigenvalues beta sigma^+-1, where e = w1 / |w1| and
+        sigma = w0 + |w1|, and (0, i e) with eigenvalue beta.  Each part
+        keeps its own relative accuracy, which W^-1 applied twice loses to
+        cancellation once sigma^2 is large."""
+        a = np.abs(self.w1)
+        flat = a == 0.0         # w1 = 0: e is any unit vector, here 1
+        e = (self.w1 + flat) / (a + flat)
+        s2, d = (self.w0 + a) ** 2, self.beta ** -2
+        q = e.conj() * u1
+        lo, hi = (u0 + q.real) * (0.5 * d / s2), (u0 - q.real) * (0.5 * d * s2)
+        return lo + hi, e * (lo - hi + 1j * d * q.imag)
+
 
 def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
     """Largest a with lam + a d inside every cone (inf if unbounded).
@@ -369,49 +387,17 @@ def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
     return float(np.min(steps, initial=np.inf))
 
 
-def _r_factor(blocks, ncols):
-    """R factor of the row blocks stacked on each other, one block at a time.
-
-    Only R and the current block are held, never the whole design.
-    """
-    R = np.zeros((0, ncols))
-    for B in blocks:
-        R = np.linalg.qr(np.vstack([R, B]), mode="r")
-    return R
-
-
-def _chunks(npts):
-    return (slice(lo, lo + CHUNK_POINTS) for lo in range(0, npts, CHUNK_POINTS))
-
-
-def _scaled_design_blocks(G, W):
-    """Real rows of W^-1 A, where A (t, c) = (t, G c) per point."""
-    m = G.shape[1]
-    for sl in _chunks(len(G)):
-        ib = 1.0 / W.beta[sl]
-        w1 = W.w1[sl]
-        k = (w1 / (1.0 + W.w0[sl]))[:, None]
-        g = G[sl] * ib[:, None]
-        h = g * w1.conj()[:, None]        # w1^T applied to the columns, over beta
-        P = len(ib)
-        B = np.empty((3 * P, 2 * m + 1))
-        B[:P, 0], B[P:2 * P, 0], B[2 * P:, 0] = W.w0[sl] * ib, -w1.real * ib, -w1.imag * ib
-        B[:P, 1:m + 1], B[:P, m + 1:] = -h.real, h.imag
-        B[P:2 * P, 1:m + 1] = g.real + h.real * k.real
-        B[P:2 * P, m + 1:] = -g.imag - h.imag * k.real
-        B[2 * P:, 1:m + 1] = g.imag + h.real * k.imag
-        B[2 * P:, m + 1:] = g.real - h.imag * k.imag
-        yield B
-
-
-def _normal_factor(G, W):
-    """Upper Cholesky factor of the Newton matrix M = A^T W^-2 A.
+def _normal_inverse(G, W):
+    """Inverse factor Ri, with Ri Ri^T = M^-1, of the Newton matrix
+    M = A^T W^-2 A, and eps cond(M), about the relative error of
+    x = Ri Ri^T b in M x = b.
 
     Per point W^-2 = D (2 w w^T - J) with D = beta^-2, w = (w0, -w1) and
     J = diag(1, -1, -1), so M is the real form of G^H D G in the c block,
     plus U^T U with rows sqrt(2 D) (w0, -Re h, Im h), h = conj(w1) G, minus
-    sum D in the t entry.  Raises LinAlgError when M is not numerically
-    positive definite.
+    sum D in the t entry.  Ri = V lam^-1/2 from the eigendecomposition
+    M = V diag(lam) V^T, each eigenvalue raised to at least eps * max(lam),
+    so a numerically singular M near the optimum still gives a finite step.
     """
     m = G.shape[1]
     d = W.beta ** -2
@@ -426,21 +412,32 @@ def _normal_factor(G, W):
     M[1:m + 1, m + 1:] -= H.imag
     M[m + 1:, 1:m + 1] += H.imag
     M[m + 1:, m + 1:] += H.real
-    return np.linalg.cholesky(M).T
+    lam, V = np.linalg.eigh(M)
+    lam = np.maximum(lam, EPS * lam[-1])
+    return V / np.sqrt(lam), EPS * lam[-1] / lam[0]
 
 
-def _normal_inverse(G, W):
-    """Inverse of the factor of _normal_factor, or None when M is
-    numerically singular: its factorization fails, or cond(M), estimated
-    as (|R|_F |R^-1|_F)^2, is not below 1/eps."""
-    try:
-        R = _normal_factor(G, W)
-    except np.linalg.LinAlgError:
-        return None
-    Ri = np.linalg.inv(R)
-    if not EPS * (np.linalg.norm(R) * np.linalg.norm(Ri)) ** 2 < 1.0:
-        return None
-    return Ri
+def _cg(product, Ri, b, x, tol):
+    """x with product(x) = M x = b by conjugate gradients preconditioned
+    with Ri Ri^T, from x, until the residual is at most tol |b| or after
+    len(b) steps.  Returns the start instead if its residual b - M x is the
+    smaller one, as where M is too ill-conditioned for the recurrence."""
+    x0, r = x, b - product(x)
+    res0, bound, p, rz = np.linalg.norm(r), tol * np.linalg.norm(b), 0.0, 1.0
+    if not res0 > bound:
+        return x0
+    for _ in range(len(b)):
+        z = Ri @ (Ri.T @ r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+        q = product(p)
+        pq = p @ q
+        if not pq > 0.0:
+            break
+        x, r = x + (rz / pq) * p, r - (rz / pq) * q
+        if not np.linalg.norm(r) > bound:
+            break
+    return x if np.linalg.norm(b - product(x)) < res0 else x0
 
 
 def _minimax(G, f, opts):
@@ -454,7 +451,6 @@ def _minimax(G, f, opts):
     the minimum, and the solve's bookkeeping.
     """
     npts, m = G.shape
-    n = 2 * m + 1
     tol = opts.tol
 
     def gh(v):
@@ -478,13 +474,20 @@ def _minimax(G, f, opts):
         iterations += 1
         W = _NTScaling(np.full(npts, t), r, z0, z1)
         lam0, lam1 = W.lam
-        # the Newton systems go through the inverse of the Cholesky factor
-        # of M, and only where M is numerically singular through the inverse
-        # of the R factor of W^-1 A: either way x = Ri Ri^T rhs
-        Ri = _normal_inverse(G, W)
-        if Ri is None:
-            Ri = np.linalg.inv(_r_factor(_scaled_design_blocks(G, W), n))
+        # every Newton system M x = rhs goes through one eigendecomposition
+        # of M, its small eigenvalues clipped: x = Ri Ri^T rhs.  Near a
+        # degenerate optimum M has eigenvalues below its own rounding, and
+        # x can miss M x = rhs by up to eps cond(M); past tol, conjugate
+        # gradients on M applied unformed, through W^-2 on its
+        # eigenvectors, refine it
+        Ri, err = _normal_inverse(G, W)
         res_t, res_c = float(np.sum(z0)) - 1.0, gh(z1)      # A^T z - e_t
+
+        def normal_product(x):
+            """M x, with W^-2 applied on its eigenvectors."""
+            v0, v1 = W.inverse_square(x[0], G @ (x[1:m + 1] + 1j * x[m + 1:]))
+            vc = gh(v1)
+            return np.concatenate([[np.sum(v0)], vc.real, vc.imag])
 
         def newton(u0, u1):
             """Steps (dt, dc, G dc) and the scaled steps W^-1 ds and W dz
@@ -493,6 +496,8 @@ def _minimax(G, f, opts):
             rc = gh(v1) + res_c
             rhs = np.concatenate([[np.sum(v0) + res_t], rc.real, rc.imag])
             dx = Ri @ (Ri.T @ rhs)
+            if err > tol:
+                dx = _cg(normal_product, Ri, rhs, dx, tol)
             dc = dx[1:m + 1] + 1j * dx[m + 1:]
             gdc = G @ dc
             ds0, ds1 = W.inverse(np.full(npts, dx[0]), gdc)

@@ -62,11 +62,22 @@ class ConfigError(ValueError):
     pass
 
 
-def _count(doc, key, default):
+def _number(doc, key, default=None, where=""):
+    """A real setting, or a ConfigError naming the key (prefixed by where)."""
+    if key not in doc and default is None:
+        raise ConfigError(f"{where}{key} is missing")
+    value = doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}{key} must be a number, not {value!r}") from None
+
+
+def _count(doc, key, default, where=""):
     """An integer setting, which JSON may give as an integral float (512.0)."""
-    value = float(doc.get(key, default))
+    value = _number(doc, key, default, where)
     if not value.is_integer():
-        raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+        raise ConfigError(f"{where}{key} must be a positive integer, not {value!r}")
     return int(value)
 
 
@@ -98,15 +109,27 @@ class RunConfig:
                 Path(path).parent / curve["path"]))
         else:
             terms = curve.get("terms")
-        if not terms:
+        if not terms or not isinstance(terms, list):
             raise ConfigError("curve has no terms")
+        for rec in terms:
+            if not isinstance(rec, dict):
+                raise ConfigError(f"curve term {rec!r} is not an object")
+            for key in ("a", "b"):
+                power = _number(rec, key, where="curve term ")
+                if not (power.is_integer() and power >= 0):
+                    raise ConfigError(f"curve term {key} must be a non-negative integer, "
+                                      f"not {power!r}")
+            for key in ("re", "im"):
+                _number(rec, key, where="curve term ")
         set_spec = doc.get("set")
         if not isinstance(set_spec, dict) or "kind" not in set_spec:
             raise ConfigError("config needs a set entry with a kind")
         solver = doc.get("solver", {})
+        if not isinstance(solver, dict):
+            raise ConfigError("solver must be an object")
         opts = SolverOptions(
-            max_iter=_count(solver, "max_iter", 500),
-            tol=float(solver.get("tol", 1e-8)),
+            max_iter=_count(solver, "max_iter", 500, "solver "),
+            tol=_number(solver, "tol", 1e-8, "solver "),
         )
         cfg = cls(
             curve_terms=terms,
@@ -130,6 +153,7 @@ class RunConfig:
             self.solver.validated()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self.direction_labels()
 
     def build_curve(self):
         return curve_new(poly_from_records(self.curve_terms), relaxed=self.relaxed)
@@ -137,32 +161,48 @@ class RunConfig:
     def build_descriptor(self, base_dir="."):
         spec = dict(self.set_spec)
         kind = spec.pop("kind")
-        res = _count(spec, "resolution", self.resolution)
+        res = _count(spec, "resolution", self.resolution, "set ")
+
+        def num(key):
+            return _number(spec, key, where="set ")
+
         try:
             if kind == "z1disk":
-                return Z1Disk(r=float(spec["r"]), resolution=res)
+                return Z1Disk(r=num("r"), resolution=res)
             if kind == "z2interval":
-                return Z2Interval(lo=float(spec["lo"]), hi=float(spec["hi"]), resolution=res)
+                return Z2Interval(lo=num("lo"), hi=num("hi"), resolution=res)
             if kind == "absv1v2torus":
-                return AbsV1V2Torus(r1=float(spec["r1"]), r2=float(spec["r2"]), resolution=res)
+                return AbsV1V2Torus(r1=num("r1"), r2=num("r2"), resolution=res)
             if kind == "bidisktrace":
-                return BidiskTrace(r1=float(spec["r1"]), r2=float(spec["r2"]), resolution=res)
+                return BidiskTrace(r1=num("r1"), r2=num("r2"), resolution=res)
             if kind == "pointcloud":
                 pts = read_point_cloud(Path(base_dir) / spec["path"])
                 return PointCloud(points=tuple(pts))
+        except ConfigError:
+            raise
         except (KeyError, ValueError, OSError) as exc:
             raise ConfigError(f"bad set descriptor: {exc}") from exc
         raise ConfigError(f"unknown set kind {kind!r}")
 
     def direction_labels(self):
+        """The directions as complex labels (None where unlabelled)."""
         if self.directions is None:
             return None
+        bad = ConfigError("directions must be a list of [re, im] pairs or nulls, "
+                          f"not {self.directions!r}")
+        if not isinstance(self.directions, (list, tuple)):
+            raise bad
         out = []
         for item in self.directions:
             if item is None:
                 out.append(None)
-            else:
-                out.append(complex(item[0], item[1]))
+                continue
+            if not (isinstance(item, (list, tuple)) and len(item) == 2):
+                raise bad
+            try:
+                out.append(complex(float(item[0]), float(item[1])))
+            except (TypeError, ValueError, OverflowError):
+                raise bad from None
         return out
 
 
@@ -315,9 +355,12 @@ def cmd_tfd(cfg, out, basis):
 
 
 def cmd_extremal(cfg, out, n):
+    if n is None:
+        n = cfg.n_max
+    if n < 1:
+        raise ConfigError(f"--n must be a positive integer, not {n}")
     curve = cfg.build_curve()
     K = sample(curve, cfg.build_descriptor())
-    n = n or cfg.n_max
     pts = probe_points(curve, [1.5, 2.5, 4.0], 48)
     rep = vk_max(curve, K, n, pts, cfg.solver)
     lines = ["re_z1\tim_z1\tre_z2\tim_z2\tV_max\tV_tilde_max\toracle\tgap"]

@@ -258,62 +258,93 @@ def _random_scaling(rng, npts):
     return chebyshev._NTScaling(s0, s1, z0, z1)
 
 
+def _normal_matrix(G, W):
+    """M = (W^-1 A)^T (W^-1 A), A (t, c) = (t, G c), from W^-1 applied per
+    point to each real coordinate of (t, Re c, Im c)."""
+    npts, m = G.shape
+    cols = [W.inverse(np.ones(npts), np.zeros(npts, dtype=complex))]
+    cols += [W.inverse(np.zeros(npts), G[:, j]) for j in range(m)]
+    cols += [W.inverse(np.zeros(npts), 1j * G[:, j]) for j in range(m)]
+    B = np.array([np.concatenate([u0, u1.real, u1.imag]) for u0, u1 in cols]).T
+    return B.T @ B
+
+
 class TestNewtonFactor:
     @pytest.mark.parametrize("npts, m, seed", [(40, 5, 0), (300, 12, 1), (9, 0, 2), (1023, 36, 3)])
-    def test_normal_factor_matches_the_chunked_qr(self, npts, m, seed):
+    def test_inverse_factor_inverts_the_normal_matrix(self, npts, m, seed):
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
         W = _random_scaling(rng, npts)
-        R = chebyshev._normal_factor(G, W)
-        Q = chebyshev._r_factor(chebyshev._scaled_design_blocks(G, W), 2 * m + 1)
-        M = Q.T @ Q
-        assert np.array_equal(R, np.triu(R))
-        assert np.linalg.norm(R.T @ R - M) <= 1e-12 * np.linalg.norm(M)
+        Ri, _ = chebyshev._normal_inverse(G, W)
+        Mi = np.linalg.inv(_normal_matrix(G, W))
+        assert np.linalg.norm(Ri @ Ri.T - Mi) <= 1e-10 * np.linalg.norm(Mi)
 
-    def test_numerically_singular_newton_matrix_is_refused(self):
+    def test_near_singular_normal_matrix_gives_a_finite_step(self):
         rng = np.random.default_rng(4)
         G = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
         W = _random_scaling(rng, 200)
-        Ri = chebyshev._normal_inverse(G, W)
-        assert np.allclose(Ri @ chebyshev._normal_factor(G, W), np.eye(7))
-        # two columns equal to 1e-6: the factorization succeeds but
-        # cond(M) is past 1/eps; equal to 1e-10: the factorization fails
+        v = rng.normal(size=7)
+        # two columns equal to 1e-6 or to 1e-10: M has an eigenvalue below
+        # eps |M|, which is clipped
         for rel in (1e-6, 1e-10):
             G[:, 2] = G[:, 1] * (1.0 + rel)
-            assert chebyshev._normal_inverse(G, W) is None
+            Ri, _ = chebyshev._normal_inverse(G, W)
+            M = _normal_matrix(G, W)
+            step = Ri @ (Ri.T @ (M @ v))
+            assert np.all(np.isfinite(step))
+            assert np.linalg.norm(M @ step - M @ v) <= 1e-8 * np.linalg.norm(M @ v)
 
-    def test_normal_equations_keep_the_qr_only_solve(self, cubic7, monkeypatch):
+    def test_inverse_square_is_the_inverse_applied_twice(self):
+        rng = np.random.default_rng(5)
+        W = _random_scaling(rng, 300)
+        u0, u1 = rng.normal(size=300), rng.normal(size=300) + 1j * rng.normal(size=300)
+        v0, v1 = W.inverse_square(u0, u1)
+        w0, w1 = W.inverse(*W.inverse(u0, u1))
+        assert np.allclose(v0, w0, rtol=1e-12, atol=0.0)
+        assert np.allclose(v1, w1, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def _inexact_system(smallest, off):
+        """M = Q diag(lam) Q^T with eigenvalues from 1 down to smallest,
+        applied exactly, and the clipped factor of M off by about off."""
+        rng = np.random.default_rng(6)
+        Q = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+        lam = np.logspace(0, np.log10(smallest), 9)
+        E = rng.normal(size=(9, 9))
+        lam_f, V = np.linalg.eigh(Q @ np.diag(lam) @ Q.T + off * (E + E.T))
+        Ri = V / np.sqrt(np.maximum(lam_f, chebyshev.EPS * lam_f[-1]))
+
+        def product(x):
+            return Q @ (lam * (Q.T @ x))
+
+        return product, Ri, Q, rng
+
+    def test_conjugate_gradients_correct_an_inexact_factor(self):
+        product, Ri, Q, rng = self._inexact_system(1e-8, 1e-9)
+        b = product(Q @ rng.normal(size=9))
+        clipped = Ri @ (Ri.T @ b)
+        assert np.linalg.norm(b - product(clipped)) > 1e-7 * np.linalg.norm(b)
+        x = chebyshev._cg(product, Ri, b, clipped, 1e-8)
+        assert np.linalg.norm(b - product(x)) <= 1e-8 * np.linalg.norm(b)
+
+    def test_conjugate_gradients_never_raise_the_residual(self):
+        # cond(M) = 1e16, a factor wrong below 1e-6 and b of unit size in
+        # every eigendirection: the recurrence breaks down
+        product, Ri, Q, rng = self._inexact_system(1e-16, 1e-6)
+        b = Q @ rng.normal(size=9)
+        clipped = Ri @ (Ri.T @ b)
+        x = chebyshev._cg(product, Ri, b, clipped, 1e-8)
+        assert np.all(np.isfinite(x))
+        assert np.linalg.norm(b - product(x)) <= np.linalg.norm(b - product(clipped))
+
+    @pytest.mark.parametrize("k, n", [(0, 6), (2, 6), (0, 7), (1, 8), (2, 8)])
+    def test_degenerate_optimum_solves_converge(self, cubic7, k, n):
+        # at n = 6 these solves broke the Cholesky factor of M; at n = 7 and 8
+        # the clipped factor alone stalls with a gap above 1e-8
         K = sample(cubic7, Z1Disk(1.2, resolution=1024))
-        opts = SolverOptions(max_iter=300)
-        fast = chebyshev_solve(cubic7, Zk(1), K, 8, opts)
-        # refusing every Cholesky factor sends every Newton system to the QR
-        monkeypatch.setattr(chebyshev, "_normal_inverse", lambda G, W: None)
-        ref = chebyshev_solve(cubic7, Zk(1), K, 8, opts)
-        assert fast.converged and ref.converged
-        assert fast.iterations == ref.iterations
-        assert abs(fast.norm - ref.norm) <= 1e-10 * ref.norm
-
-    def test_qr_runs_exactly_where_the_normal_matrix_is_singular(self, cubic7, monkeypatch):
-        K = sample(cubic7, Z1Disk(1.2, resolution=1024))
-        events = []
-        inverse, blocks = chebyshev._normal_inverse, chebyshev._scaled_design_blocks
-
-        def recorded_inverse(G, W):
-            Ri = inverse(G, W)
-            events.append(Ri is None)
-            return Ri
-
-        monkeypatch.setattr(chebyshev, "_normal_inverse", recorded_inverse)
-        monkeypatch.setattr(chebyshev, "_scaled_design_blocks",
-                            lambda G, W: events.append("qr") or blocks(G, W))
-        s = chebyshev_solve(cubic7, MQ(cubic7.dirbasis[0]), K, 4, SolverOptions(max_iter=300))
-        singular = [e for e in events if e != "qr"]
-        # one condition test per iteration after the closed-form start, and
-        # a QR right after each refused factor and nowhere else
-        assert len(singular) == s.iterations - 1
-        assert 0 < sum(singular) < len(singular)
-        assert events == [e for r in singular for e in ([r, "qr"] if r else [r])]
+        s = chebyshev_solve(cubic7, MQ(cubic7.dirbasis[k]), K, n, SolverOptions(max_iter=300))
         assert s.converged
+        assert s.gap <= 1e-8 * s.norm
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 1.7}, {"max_iter": 0}, {"tol": np.inf}, {"tol": np.nan},

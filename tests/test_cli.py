@@ -351,3 +351,30 @@ class TestConfigErrors:
 
     def test_bad_class_spec(self, torus_config):
         assert main(["cheb", "--config", torus_config, "--class", "what:9"]) == 2
+
+    @pytest.mark.parametrize("overrides, command, key", [
+        ({"directions": [5, 6]}, "robin", "directions"),
+        ({"directions": [[1]]}, "robin", "directions"),
+        ({"solver": {"tol": [1]}}, "curve-info", "solver tol"),
+        ({"curve": {"terms": [{"a": 2, "re": 1.0, "im": 0.0},
+                              {"a": 0, "b": 2, "re": -1.0, "im": 0.0},
+                              {"a": 0, "b": 0, "re": -1.0, "im": 0.0}]}},
+         "curve-info", "curve term b"),
+        ({"curve": {"terms": [{"a": 2.5, "b": 0, "re": 1.0, "im": 0.0},
+                              {"a": 0, "b": 2, "re": -1.0, "im": 0.0},
+                              {"a": 0, "b": 0, "re": -1.0, "im": 0.0}]}},
+         "curve-info", "curve term a"),
+        ({"set": {"kind": "z1disk", "r": [1.2]}}, "sample", "set r"),
+    ], ids=["directions-not-pairs", "direction-too-short", "solver-tol-list",
+            "term-without-b", "fractional-power", "set-r-list"])
+    def test_malformed_value_is_invalid_input(self, capsys, tmp_path, overrides, command, key):
+        cfg = write_config(tmp_path / "m.json", **overrides)
+        assert main([command, "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
+
+class TestExtremal:
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_degree_invalid(self, capsys, torus_config, n):
+        assert main(["extremal", "--config", torus_config, "--n", n]) == 2
+        assert "--n must be a positive integer" in capsys.readouterr().err
