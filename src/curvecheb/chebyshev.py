@@ -13,20 +13,20 @@ Each problem is posed on the orthonormal design Q of its basis on K, built
 by Arnoldi once per (K, basis) and cached on K; extending it is the one
 rank decision (_Design).  The class gives its leading residual f, the
 leading term projected off the free span: a position class the one its
-element stores, a product class R projected, then n times multiplied by Q
-and projected.  min_u max_i |f_i + (Q u)_i| is the second-order cone
-program min t subject to |f_i + (Q u)_i| <= t, one cone per sample point,
-solved by a primal-dual interior-point method with Mehrotra
-predictor-corrector steps and Nesterov-Todd scaling from the closed-form
-least squares point u = 0 (SolverOptions.max_iter counts it).  Every
-Newton system goes through one factorization, the eigendecomposition of
-its normal matrix A^T W^-2 A with eigenvalues below eps times the largest
-raised to that floor, which keeps the step finite where the matrix is
-singular near the optimum (Wright, Primal-Dual Interior-Point Methods,
-SIAM 1997, ch. 11).  Where eps cond(A^T W^-2 A) exceeds tol, conjugate
-gradients preconditioned by that factor refine the step against
-A^T W^-2 A applied unformed.  The minimizer is f's polynomial plus
-sum u_i q_i over the column polynomials.
+element stores, a product class link n of the chain R, RQ, RQ^2, ...,
+each link projected, kept on the design.  min_u max_i |f_i + (Q u)_i| is
+the second-order cone program min t subject to |f_i + (Q u)_i| <= t, one
+cone per sample point, solved by a primal-dual interior-point method with
+Mehrotra predictor-corrector steps and Nesterov-Todd scaling from the
+closed-form least squares point u = 0 (SolverOptions.max_iter counts it).
+Every Newton system goes through one factorization, the Cholesky factor of
+its normal matrix A^T W^-2 A shifted by eps times its trace, which keeps
+the factor defined where the matrix is singular near the optimum (Altman
+and Gondzio, Optim. Methods Softw. 11, 1999).  Where eps cond(A^T W^-2 A),
+estimated from the pivots, exceeds tol, conjugate gradients
+preconditioned by that factor refine the step against A^T W^-2 A applied
+unformed.  The minimizer is f's polynomial plus sum u_i q_i over the
+column polynomials.
 
 Every iterate's max modulus is an upper bound.  The certificate is a lower
 bound: sqrt(mean |f|^2) at the start, then, once the method's own duality
@@ -109,16 +109,9 @@ class _Product:
 
     def leading_residual(self, curve, n, K):
         """(values on K, polynomial) of R Q^n projected off the S basis below
-        its degree: R projected, then n times multiplied by Q and projected,
-        so no value holds the cancellation of R Q^n against lower terms."""
-        q, r = self.base(curve), normal_form(curve, self.prefactor)
-        vals, poly = r(K.z1, K.z2), r
-        for i in range(n + 1):
-            if i:
-                vals, poly = q(K.z1, K.z2) * vals, normal_form(curve, q * poly)
-            below = basis_through_degree(curve, BASIS_S, int(r.degree + i * q.degree) - 1)
-            vals, poly = _design(curve, K, BASIS_S).project(vals, poly, len(below))
-        return vals, poly
+        its degree: link n of the chain of (R, Q) kept on K's S design."""
+        return _design(curve, K, BASIS_S).chain(normal_form(curve, self.prefactor),
+                                                self.base(curve), n)
 
 
 class _Position:
@@ -321,17 +314,11 @@ SINGULAR_RATIO = 1e-14  # norm kept by projection at or below which a column is 
 
 def _dot(u0, u1, v0, v1):
     """Inner product of two cone vectors."""
-    return float(np.sum(u0 * v0) + np.sum((u1.conj() * v1).real))
-
-
-def _jnorm(u0, u1):
-    """sqrt(u0^2 - |u1|^2) per point, factored to avoid cancellation."""
-    a = np.abs(u1)
-    return np.sqrt((u0 - a) * (u0 + a))
+    return float(np.dot(u0, v0) + np.vdot(u1, v1).real)
 
 
 class _NTScaling:
-    """Nesterov-Todd scaling W of an interior pair (s, z).
+    """Nesterov-Todd scaling W of an interior pair (s, z), given |s1| and |z1|.
 
     W is symmetric and maps the cone onto itself, and W z = W^-1 s = lam.
     Per point W = beta * [[w0, w1^T], [w1, I + w1 w1^T / (1 + w0)]] with
@@ -339,24 +326,26 @@ class _NTScaling:
     program solvers, 2010, section 4).
     """
 
-    def __init__(self, s0, s1, z0, z1):
-        sn, zn = _jnorm(s0, s1), _jnorm(z0, z1)
+    def __init__(self, s0, s1, z0, z1, s1_abs, z1_abs):
+        # sqrt(u0^2 - |u1|^2) per point, factored to avoid cancellation
+        sn, zn = np.sqrt((s0 - s1_abs) * (s0 + s1_abs)), np.sqrt((z0 - z1_abs) * (z0 + z1_abs))
         gamma = np.sqrt(0.5 * (1.0 + (s0 * z0 + (s1.conj() * z1).real) / (sn * zn)))
         self.w0 = (s0 / sn + z0 / zn) / (2.0 * gamma)
         self.w1 = (s1 / sn - z1 / zn) / (2.0 * gamma)
+        self.w1c, self.w0p = self.w1.conj(), 1.0 / (1.0 + self.w0)
         self.beta = np.sqrt(sn / zn)
         self.lam = self.apply(z0, z1)
         self.lam_jnorm2 = sn * zn
 
     def apply(self, u0, u1):
-        d = (self.w1.conj() * u1).real
+        d = (self.w1c * u1).real
         return (self.beta * (self.w0 * u0 + d),
-                self.beta * (u1 + (u0 + d / (1.0 + self.w0)) * self.w1))
+                self.beta * (u1 + (u0 + d * self.w0p) * self.w1))
 
     def inverse(self, u0, u1):
-        d = (self.w1.conj() * u1).real
+        d = (self.w1c * u1).real
         return ((self.w0 * u0 - d) / self.beta,
-                (u1 + (d / (1.0 + self.w0) - u0) * self.w1) / self.beta)
+                (u1 + (d * self.w0p - u0) * self.w1) / self.beta)
 
     def inverse_square(self, u0, u1):
         """W^-2 u, summed over the eigenvectors of W: (1, +-e) / sqrt(2)
@@ -374,7 +363,7 @@ class _NTScaling:
 
 
 def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
-    """Largest a with lam + a d inside every cone (inf if unbounded).
+    """Largest a with lam + a d inside every cone for every row d of (d0, d1), or inf.
 
     Per point the boundary is the first positive root of
     lam_jnorm2 + 2 b a + q a^2, with b = lam^T J d and q = d^T J d.
@@ -383,28 +372,30 @@ def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
     b = lam0 * d0 - (lam1.conj() * d1).real
     disc = b * b - q * lam_jnorm2
     hits = (disc >= 0.0) & ((b < 0.0) | (q < 0.0))
-    steps = lam_jnorm2[hits] / (np.sqrt(disc[hits]) - b[hits])
-    return float(np.min(steps, initial=np.inf))
+    return float(np.min(np.divide(lam_jnorm2, np.sqrt(np.maximum(disc, 0.0)) - b,
+                                  out=np.full(hits.shape, np.inf), where=hits)))
 
 
-def _normal_inverse(G, W):
-    """Inverse factor Ri, with Ri Ri^T = M^-1, of the Newton matrix
-    M = A^T W^-2 A, and eps cond(M), about the relative error of
-    x = Ri Ri^T b in M x = b.
+def _normal_inverse(G, GH, W):
+    """Inverse factor Ri, with Ri Ri^T = (M + delta I)^-1, of the Newton
+    matrix M = A^T W^-2 A (GH = G^H), and eps cond(M) from the Cholesky
+    pivots, about the relative error of x = Ri Ri^T b in M x = b.
 
     Per point W^-2 = D (2 w w^T - J) with D = beta^-2, w = (w0, -w1) and
     J = diag(1, -1, -1), so M is the real form of G^H D G in the c block,
     plus U^T U with rows sqrt(2 D) (w0, -Re h, Im h), h = conj(w1) G, minus
-    sum D in the t entry.  Ri = V lam^-1/2 from the eigendecomposition
-    M = V diag(lam) V^T, each eigenvalue raised to at least eps * max(lam),
-    so a numerically singular M near the optimum still gives a finite step.
+    sum D in the t entry.  M + delta I = L L^T by Cholesky, with
+    delta = eps trace(M), a shift that keeps the factor defined where M is
+    singular near the optimum (Altman and Gondzio, Optim. Methods Softw.
+    11, 1999); Ri = inv(L)^T, and cond(M) ~ (max L_ii / min L_ii)^2.
     """
     m = G.shape[1]
     d = W.beta ** -2
-    H = (G.conj().T * d) @ G
-    h = G * W.w1.conj()[:, None]
+    H = (GH * d) @ G
+    h = G * W.w1c[:, None]
     U = np.empty((len(d), 2 * m + 1))
-    U[:, 0], U[:, 1:m + 1], U[:, m + 1:] = W.w0, -h.real, h.imag
+    U[:, 0], U[:, m + 1:] = W.w0, h.imag
+    np.negative(h.real, out=U[:, 1:m + 1])
     U *= np.sqrt(2.0 * d)[:, None]
     M = U.T @ U
     M[0, 0] -= np.sum(d)
@@ -412,9 +403,10 @@ def _normal_inverse(G, W):
     M[1:m + 1, m + 1:] -= H.imag
     M[m + 1:, 1:m + 1] += H.imag
     M[m + 1:, m + 1:] += H.real
-    lam, V = np.linalg.eigh(M)
-    lam = np.maximum(lam, EPS * lam[-1])
-    return V / np.sqrt(lam), EPS * lam[-1] / lam[0]
+    M.flat[::2 * m + 2] += EPS * np.trace(M)
+    L = np.linalg.cholesky(M)
+    pivots = np.diagonal(L)
+    return np.linalg.inv(L).T, EPS * (pivots.max() / pivots.min()) ** 2
 
 
 def _cg(product, Ri, b, x, tol):
@@ -453,9 +445,6 @@ def _minimax(G, f, opts):
     npts, m = G.shape
     tol = opts.tol
 
-    def gh(v):
-        return (v.conj() @ G).conj()    # G^H v without a conjugate copy of G
-
     # iteration 1: as f is orthogonal to range(G), the uniform-weight least
     # squares point is c = 0, with residual f; it is also the starting point
     c, r = np.zeros(m, dtype=complex), f
@@ -465,52 +454,53 @@ def _minimax(G, f, opts):
     converged = best_ub <= lb * (1.0 + tol)
     t *= T0
     z0, z1 = np.full(npts, 1.0 / npts), np.zeros(npts, dtype=complex)
+    GH = G.conj().T if not converged and opts.max_iter > 1 else None    # if the loop runs
 
     while not converged and iterations < opts.max_iter:
         # stop where rounding takes over: s or z on the boundary, or, as
         # max |f| = 1, an upper bound t at the level of f's rounding error
-        if not (t > EPS and np.min(t - np.abs(r)) > 0.0 and np.min(z0 - np.abs(z1)) > 0.0):
+        r_abs, z1_abs = np.abs(r), np.abs(z1)
+        if not (t > EPS and t - np.max(r_abs) > 0.0 and np.min(z0 - z1_abs) > 0.0):
             break
         iterations += 1
-        W = _NTScaling(np.full(npts, t), r, z0, z1)
+        W = _NTScaling(t, r, z0, z1, r_abs, z1_abs)
         lam0, lam1 = W.lam
-        # every Newton system M x = rhs goes through one eigendecomposition
-        # of M, its small eigenvalues clipped: x = Ri Ri^T rhs.  Near a
-        # degenerate optimum M has eigenvalues below its own rounding, and
-        # x can miss M x = rhs by up to eps cond(M); past tol, conjugate
-        # gradients on M applied unformed, through W^-2 on its
-        # eigenvectors, refine it
-        Ri, err = _normal_inverse(G, W)
-        res_t, res_c = float(np.sum(z0)) - 1.0, gh(z1)      # A^T z - e_t
+        # every Newton system M x = rhs goes through one Cholesky factor of
+        # M, shifted by eps trace(M): x = Ri Ri^T rhs.  Near a degenerate
+        # optimum M has eigenvalues below its own rounding, and x can miss
+        # M x = rhs by up to eps cond(M); past tol, conjugate gradients on M
+        # applied unformed, through W^-2 on its eigenvectors, refine it
+        Ri, err = _normal_inverse(G, GH, W)
+        res_t, res_c = float(np.sum(z0)) - 1.0, GH @ z1     # A^T z - e_t
 
         def normal_product(x):
             """M x, with W^-2 applied on its eigenvectors."""
             v0, v1 = W.inverse_square(x[0], G @ (x[1:m + 1] + 1j * x[m + 1:]))
-            vc = gh(v1)
+            vc = GH @ v1
             return np.concatenate([[np.sum(v0)], vc.real, vc.imag])
 
         def newton(u0, u1):
-            """Steps (dt, dc, G dc) and the scaled steps W^-1 ds and W dz
-            with W dz + W^-1 ds = u and A^T dz = -(A^T z - e_t)."""
+            """Steps (dt, dc, G dc) and the scaled steps W^-1 ds and W dz,
+            stacked as the rows of d0 and d1, with W dz + W^-1 ds = u and
+            A^T dz = -(A^T z - e_t)."""
             v0, v1 = W.inverse(u0, u1)
-            rc = gh(v1) + res_c
+            rc = GH @ v1 + res_c
             rhs = np.concatenate([[np.sum(v0) + res_t], rc.real, rc.imag])
             dx = Ri @ (Ri.T @ rhs)
             if err > tol:
                 dx = _cg(normal_product, Ri, rhs, dx, tol)
             dc = dx[1:m + 1] + 1j * dx[m + 1:]
             gdc = G @ dc
-            ds0, ds1 = W.inverse(np.full(npts, dx[0]), gdc)
-            return dx[0], dc, gdc, (ds0, ds1), (u0 - ds0, u1 - ds1)
-
-        def step_to_boundary(ds, dz):
-            return min(_max_step(lam0, lam1, W.lam_jnorm2, *ds),
-                       _max_step(lam0, lam1, W.lam_jnorm2, *dz))
+            d0, d1 = np.empty((2, npts)), np.empty((2, npts), dtype=complex)
+            d0[0], d1[0] = W.inverse(dx[0], gdc)
+            d0[1], d1[1] = u0 - d0[0], u1 - d1[0]
+            return dx[0], dc, gdc, d0, d1
 
         # predictor (affine scaling): lam o (W dz + W^-1 ds) = -lam o lam
-        _, _, _, (as0, as1), (az0, az1) = newton(-lam0, -lam1)
-        alpha = min(1.0, step_to_boundary((as0, as1), (az0, az1)))
+        _, _, _, d0, d1 = newton(-lam0, -lam1)
+        alpha = min(1.0, _max_step(lam0, lam1, W.lam_jnorm2, d0, d1))
         mu = _dot(lam0, lam1, lam0, lam1) / npts
+        (as0, az0), (as1, az1) = d0, d1
         rho = _dot(lam0 + alpha * as0, lam1 + alpha * as1,
                    lam0 + alpha * az0, lam1 + alpha * az1) / (mu * npts)
         target = min(max(rho, 0.0), 1.0) ** 3 * mu
@@ -521,8 +511,8 @@ def _minimax(G, f, opts):
         e1 = -2.0 * lam0 * lam1 - as0 * az1 - az0 * as1
         u0 = (lam0 * e0 - (lam1.conj() * e1).real) / W.lam_jnorm2
         u1 = (e1 - u0 * lam1) / lam0
-        dt, dc, gdc, ds, dz = newton(u0, u1)
-        alpha = min(1.0, STEP * step_to_boundary(ds, dz))
+        dt, dc, gdc, d0, d1 = newton(u0, u1)
+        alpha = min(1.0, STEP * _max_step(lam0, lam1, W.lam_jnorm2, d0, d1))
         if not alpha > 0.0:
             break
 
@@ -531,19 +521,19 @@ def _minimax(G, f, opts):
         t += alpha * dt
         c = c + alpha * dc
         r = r + alpha * gdc
-        dz0, dz1 = W.inverse(*dz)
+        dz0, dz1 = W.inverse(d0[1], d1[1])
         z0, z1 = z0 + alpha * dz0, z1 + alpha * dz1
         ub = float(np.max(np.abs(f + G @ c)))
         if ub < best_ub:
             best_c, best_ub = c, ub
-        gap = t * float(np.sum(z0)) + float(np.sum((r.conj() * z1).real))
+        gap = t * float(np.sum(z0)) + float(np.vdot(r, z1).real)
         stalled = False
         if gap <= tol * t:
             # dual bound: with y = z1 projected twice onto null(G^H),
             # y^H f = y^H (f + G c) for every c, so |y^H f| / |y|_1 is below
             # every max |f + G c|
-            y = z1 - G @ gh(z1) / npts
-            y = y - G @ gh(y) / npts
+            y = z1 - G @ (GH @ z1) / npts
+            y = y - G @ (GH @ y) / npts
             y1 = float(np.sum(np.abs(y)))
             lby = float(abs(np.vdot(y, f))) / y1 if y1 > 0.0 else 0.0
             stalled = lby <= lb
@@ -573,6 +563,9 @@ class _Design:
     SINGULAR_RATIO of |g r_p|, b_j depends on earlier elements on K and its
     column is dropped, as are its descendants'; else r_j / |r_j| is the
     next column.  Residuals and columns carry their normal-form polynomials.
+    The design keeps the product chains posed on it: link i of the chain of
+    (R, Q) is R Q^i projected off the elements below its degree, computed as
+    link i - 1 times Q, projected, so no value holds R Q^i's cancellation.
     """
 
     def __init__(self, curve, points, basis_id):
@@ -580,6 +573,7 @@ class _Design:
         self.Q = np.zeros((len(points), 0), dtype=complex)
         self.polys = []         # polynomial of each column
         self.residuals = {}     # shape -> (values, polynomial, has a column)
+        self.chains = {}        # (R, Q) -> [(values, polynomial) of R Q^i projected]
 
     def residual(self, count):
         """Residual (values, polynomial) of element `count`, 1-based."""
@@ -607,6 +601,17 @@ class _Design:
             self.residual(count)
         k = sum(alive for *_, alive in list(self.residuals.values())[:count])
         return self.Q[:, :k], self.polys[:k]
+
+    def chain(self, r, q, n):
+        """(values, polynomial) of link n of the chain of (r, q)."""
+        links, z = self.chains.setdefault((r, q), []), self.points.T
+        for i in range(len(links), n + 1):
+            vals, poly = ((q(*z) * links[-1][0], normal_form(self.curve, q * links[-1][1]))
+                          if i else (r(*z), r))
+            degree = int(r.degree + i * q.degree)
+            below = basis_through_degree(self.curve, self.basis_id, degree - 1)
+            links.append(self.project(vals, poly, len(below)))
+        return links[n]
 
     def project(self, vals, poly, count):
         """vals and poly projected twice off the first `count` elements' columns."""

@@ -73,6 +73,14 @@ def _number(doc, key, default=None, where=""):
         raise ConfigError(f"{where}{key} must be a number, not {value!r}") from None
 
 
+def _string(doc, key, where=""):
+    """A string setting, or a ConfigError naming the key."""
+    value = doc.get(key)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}{key} must be a string, not {value!r}")
+    return value
+
+
 def _count(doc, key, default, where=""):
     """An integer setting, which JSON may give as an integral float (512.0)."""
     value = _number(doc, key, default, where)
@@ -99,14 +107,19 @@ class RunConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
         if doc.get("schema") != CONFIG_SCHEMA:
             raise ConfigError(f"unexpected config schema {doc.get('schema')!r}")
         curve = doc.get("curve")
         if not isinstance(curve, dict):
             raise ConfigError("config needs a curve entry")
         if "path" in curve:
-            terms = polyring.curve_records(polyring.read_curve(
-                Path(path).parent / curve["path"]))
+            try:
+                terms = polyring.curve_records(polyring.read_curve(
+                    Path(path).parent / _string(curve, "path", "curve ")))
+            except OSError as exc:
+                raise ConfigError(f"cannot read curve path: {exc}") from exc
         else:
             terms = curve.get("terms")
         if not terms or not isinstance(terms, list):
@@ -137,7 +150,7 @@ class RunConfig:
             resolution=_count(doc, "resolution", 1024),
             n_max=_count(doc, "n_max", 8),
             solver=opts,
-            out_dir=doc.get("out_dir"),
+            out_dir=None if doc.get("out_dir") is None else _string(doc, "out_dir"),
             relaxed=bool(doc.get("relaxed", False)),
             directions=doc.get("directions"),
         )
@@ -164,7 +177,9 @@ class RunConfig:
         res = _count(spec, "resolution", self.resolution, "set ")
 
         def num(key):
-            return _number(spec, key, where="set ")
+            if not math.isfinite(value := _number(spec, key, where="set ")):
+                raise ConfigError(f"set {key} must be finite, not {value!r}")
+            return value
 
         try:
             if kind == "z1disk":
@@ -176,7 +191,7 @@ class RunConfig:
             if kind == "bidisktrace":
                 return BidiskTrace(r1=num("r1"), r2=num("r2"), resolution=res)
             if kind == "pointcloud":
-                pts = read_point_cloud(Path(base_dir) / spec["path"])
+                pts = read_point_cloud(Path(base_dir) / _string(spec, "path", "set "))
                 return PointCloud(points=tuple(pts))
         except ConfigError:
             raise

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvecheb import AbsV1V2Torus, BidiskTrace, Z1Disk, Z2Interval, polyring, sample
+from curvecheb import AbsV1V2Torus, BidiskTrace, Z1Disk, Z2Interval, chebyshev, polyring, sample
 from curvecheb.gallery import coordinate_hyperbola, hyperbola, random_valid_curve
 
 # one line per acceptance criterion, echoed in the terminal summary
@@ -63,13 +63,15 @@ def bidisk_set(aeps):
 @pytest.fixture
 def ring_calls(monkeypatch):
     """Names of the polyring.normal_form and pow_mod calls made while the
-    test runs, in call order."""
+    test runs, in call order, from polyring or from chebyshev, which
+    imports them."""
     calls = []
     for name in ("normal_form", "pow_mod"):
         def counted(*args, _name=name, _real=getattr(polyring, name)):
             calls.append(_name)
             return _real(*args)
-        monkeypatch.setattr(polyring, name, counted)
+        for module in (polyring, chebyshev):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 

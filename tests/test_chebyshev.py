@@ -217,6 +217,31 @@ class TestMinimaxSolve:
                     bound = solves[a].norm * solves[n - a].norm
                     assert solves[n].norm - solves[n].gap <= bound * (1 + 1e-9), (n, a)
 
+    def test_sequence_extends_one_product_chain(self, hyp, ring_calls):
+        # a sequence to 12 takes one chain link, one normal form, per n,
+        # where recomputing the chain for every n takes n(n+1)/2 of them;
+        # the links are those of a fresh set solved at that n alone
+        K = sample(hyp, Z2Interval(-1.0, 1.0, resolution=512))
+        spec, top = MQ(hyp.dirbasis[0]), 12
+        chebyshev_solve(hyp, Zk(0), K, top)     # builds the design past the chain's needs
+        for n in range(1, top + 1):
+            class_parametrize(hyp, spec, n)
+        ring_calls.clear()
+        for n in range(1, top + 1):
+            class_parametrize(hyp, spec, n)
+        parametrize_calls = ring_calls.count("normal_form")
+        ring_calls.clear()
+        seq = chebyshev_sequence(hyp, spec, K, range(1, top + 1))
+        # per n: the prefactor's normal form, then the new link
+        assert ring_calls.count("normal_form") - parametrize_calls == 2 * top
+        for n, s in enumerate(seq, start=1):
+            alone = sample(hyp, Z2Interval(-1.0, 1.0, resolution=512))
+            single = chebyshev_solve(hyp, spec, alone, n)
+            vals, poly = spec.leading_residual(hyp, n, K)
+            vals1, poly1 = spec.leading_residual(hyp, n, alone)
+            assert np.array_equal(vals, vals1) and poly == poly1, n
+            assert (s.norm, s.gap, s.iterations) == (single.norm, single.gap, single.iterations)
+
 
 class TestScalingLaws:
     def test_prefactor_scale_is_bitwise_invariant(self, hyp, interval_set):
@@ -255,7 +280,7 @@ def _random_scaling(rng, npts):
     z1 = rng.normal(size=npts) + 1j * rng.normal(size=npts)
     s0 = np.abs(s1) * (1.0 + rng.random(npts)) + 1e-3
     z0 = np.abs(z1) * (1.0 + rng.random(npts)) + 1e-3
-    return chebyshev._NTScaling(s0, s1, z0, z1)
+    return chebyshev._NTScaling(s0, s1, z0, z1, np.abs(s1), np.abs(z1))
 
 
 def _normal_matrix(G, W):
@@ -275,7 +300,7 @@ class TestNewtonFactor:
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
         W = _random_scaling(rng, npts)
-        Ri, _ = chebyshev._normal_inverse(G, W)
+        Ri, _ = chebyshev._normal_inverse(G, G.conj().T, W)
         Mi = np.linalg.inv(_normal_matrix(G, W))
         assert np.linalg.norm(Ri @ Ri.T - Mi) <= 1e-10 * np.linalg.norm(Mi)
 
@@ -284,11 +309,11 @@ class TestNewtonFactor:
         G = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
         W = _random_scaling(rng, 200)
         v = rng.normal(size=7)
-        # two columns equal to 1e-6 or to 1e-10: M has an eigenvalue below
-        # eps |M|, which is clipped
-        for rel in (1e-6, 1e-10):
+        # two columns equal to 1e-6, to 1e-10 or exactly: M has an
+        # eigenvalue below eps |M|, or 0, and the shift keeps the factor
+        for rel in (1e-6, 1e-10, 0.0):
             G[:, 2] = G[:, 1] * (1.0 + rel)
-            Ri, _ = chebyshev._normal_inverse(G, W)
+            Ri, _ = chebyshev._normal_inverse(G, G.conj().T, W)
             M = _normal_matrix(G, W)
             step = Ri @ (Ri.T @ (M @ v))
             assert np.all(np.isfinite(step))
@@ -339,8 +364,9 @@ class TestNewtonFactor:
 
     @pytest.mark.parametrize("k, n", [(0, 6), (2, 6), (0, 7), (1, 8), (2, 8)])
     def test_degenerate_optimum_solves_converge(self, cubic7, k, n):
-        # at n = 6 these solves broke the Cholesky factor of M; at n = 7 and 8
-        # the clipped factor alone stalls with a gap above 1e-8
+        # at n = 6 these solves broke the unshifted Cholesky factor of M; at
+        # n = 7 and 8 a step from the factor alone, without refinement,
+        # stalls with a gap above 1e-8
         K = sample(cubic7, Z1Disk(1.2, resolution=1024))
         s = chebyshev_solve(cubic7, MQ(cubic7.dirbasis[k]), K, n, SolverOptions(max_iter=300))
         assert s.converged

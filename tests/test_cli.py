@@ -373,6 +373,30 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, doc, key", [
+        ("sample", {"out_dir": 5}, "out_dir"),
+        ("curve-info", {"curve": {"path": 5}}, "curve path"),
+        ("curve-info", {"curve": {"path": "missing.txt"}}, "curve path"),
+        ("curve-info", [1, 2], "config must be a JSON object"),
+        ("sample", {"set": {"kind": "z1disk", "r": float("nan")}}, "set r"),
+        ("sample", {"set": {"kind": "z1disk", "r": "1e400"}}, "set r"),
+        ("sample", {"set": {"kind": "pointcloud", "path": 5}}, "set path"),
+    ], ids=["out-dir-number", "curve-path-number", "curve-file-missing", "document-list",
+            "set-r-nan", "set-r-overflow", "point-cloud-path-number"])
+    def test_malformed_config_exits_invalid_naming_the_key(self, capsys, tmp_path, command,
+                                                           doc, key):
+        cfg = tmp_path / "m.json"
+        if isinstance(doc, dict):
+            write_config(cfg, **doc)
+            # a JSON number too large for a float reads as inf
+            cfg.write_text(cfg.read_text().replace('"1e400"', "1e400"))
+        else:
+            cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+
 class TestExtremal:
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_nonpositive_degree_invalid(self, capsys, torus_config, n):
