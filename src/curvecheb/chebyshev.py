@@ -19,14 +19,17 @@ the second-order cone program min t subject to |f_i + (Q u)_i| <= t, one
 cone per sample point, solved by a primal-dual interior-point method with
 Mehrotra predictor-corrector steps and Nesterov-Todd scaling from the
 closed-form least squares point u = 0 (SolverOptions.max_iter counts it).
-Every Newton system goes through one factorization, the Cholesky factor of
-its normal matrix A^T W^-2 A shifted by eps times its trace, which keeps
-the factor defined where the matrix is singular near the optimum (Altman
-and Gondzio, Optim. Methods Softw. 11, 1999).  Where eps cond(A^T W^-2 A),
-estimated from the pivots, exceeds tol, conjugate gradients
-preconditioned by that factor refine the step against A^T W^-2 A applied
-unformed.  The minimizer is f's polynomial plus sum u_i q_i over the
-column polynomials.
+Each iteration forms the normal matrix M = A^T W^-2 A from two real
+symmetric products on float views of the design, one for its diagonal
+part and one for its rank-one part per cone, and shifts it by eps times
+its trace, which keeps it definite where M is singular near the optimum
+(Altman and Gondzio, Optim. Methods Softw. 11, 1999).  Both Newton
+systems of the iteration are solved against that shifted matrix by
+np.linalg.solve; the predictor's right-hand side is -e_t exactly.  Where
+eps cond(M), estimated from its Cholesky pivots, exceeds tol, conjugate
+gradients preconditioned by the same solve refine the step against M
+applied unformed.  The minimizer is f's polynomial plus sum u_i q_i over
+the column polynomials, built when first read.
 
 Every iterate's max modulus is an upper bound.  The certificate is a lower
 bound: sqrt(mean |f|^2) at the start, then, once the method's own duality
@@ -42,7 +45,8 @@ import math
 import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -261,13 +265,20 @@ class ChebSolve:
     spec: object
     n: int                      # class parameter
     total_degree: int           # degree of the leading term in C[A]
-    minimizer: BivarPoly
     norm: float
     tn: float
     iterations: int
     converged: bool
+    # (residual polynomial, column polynomials, coefficients) of the minimizer
+    parts: tuple = field(repr=False, compare=False)
     ridge_used: bool = False    # the design dropped a column of the free basis, dependent on K
     gap: float = 0.0            # certified optimality gap: norm - lower bound
+
+    @cached_property
+    def minimizer(self):
+        """The minimizer, the residual polynomial plus sum u_i q_i over the
+        design's column polynomials, built on first read."""
+        return _combine(*self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +345,7 @@ class _NTScaling:
         self.w1 = (s1 / sn - z1 / zn) / (2.0 * gamma)
         self.w1c, self.w0p = self.w1.conj(), 1.0 / (1.0 + self.w0)
         self.beta = np.sqrt(sn / zn)
+        self.d = self.beta ** -2        # the scale of W^-2
         self.lam = self.apply(z0, z1)
         self.lam_jnorm2 = sn * zn
 
@@ -347,19 +359,26 @@ class _NTScaling:
         return ((self.w0 * u0 - d) / self.beta,
                 (u1 + (d * self.w0p - u0) * self.w1) / self.beta)
 
+    @cached_property
+    def _eigenvectors(self):
+        """e, conj(e) and the weights 0.5 d / sigma^2 and 0.5 d sigma^2 of
+        inverse_square, which conjugate gradients apply several times."""
+        a = np.abs(self.w1)
+        flat = a == 0.0         # w1 = 0: e is any unit vector, here 1
+        e = (self.w1 + flat) / (a + flat)
+        s2 = (self.w0 + a) ** 2
+        return e, e.conj(), 0.5 * self.d / s2, 0.5 * self.d * s2
+
     def inverse_square(self, u0, u1):
         """W^-2 u, summed over the eigenvectors of W: (1, +-e) / sqrt(2)
         with eigenvalues beta sigma^+-1, where e = w1 / |w1| and
         sigma = w0 + |w1|, and (0, i e) with eigenvalue beta.  Each part
         keeps its own relative accuracy, which W^-1 applied twice loses to
         cancellation once sigma^2 is large."""
-        a = np.abs(self.w1)
-        flat = a == 0.0         # w1 = 0: e is any unit vector, here 1
-        e = (self.w1 + flat) / (a + flat)
-        s2, d = (self.w0 + a) ** 2, self.beta ** -2
-        q = e.conj() * u1
-        lo, hi = (u0 + q.real) * (0.5 * d / s2), (u0 - q.real) * (0.5 * d * s2)
-        return lo + hi, e * (lo - hi + 1j * d * q.imag)
+        e, ec, lo_w, hi_w = self._eigenvectors
+        q = ec * u1
+        lo, hi = (u0 + q.real) * lo_w, (u0 - q.real) * hi_w
+        return lo + hi, e * (lo - hi + 1j * self.d * q.imag)
 
 
 def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
@@ -376,50 +395,69 @@ def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
                                   out=np.full(hits.shape, np.inf), where=hits)))
 
 
-def _normal_inverse(G, GH, W):
-    """Inverse factor Ri, with Ri Ri^T = (M + delta I)^-1, of the Newton
-    matrix M = A^T W^-2 A (GH = G^H), and eps cond(M) from the Cholesky
-    pivots, about the relative error of x = Ri Ri^T b in M x = b.
+def _gram(X):
+    """F^T F, F the float view (Re x_1, Im x_1, ...) of the complex X, by
+    one symmetric product, as 2 x 2 blocks indexed [j, :, k, :]."""
+    F, m = X.view(float), X.shape[1]
+    return (F.T @ F).reshape(m, 2, m, 2)
+
+
+def _normal_inverse(G, W):
+    """The Newton matrix M = A^T W^-2 A shifted to M + delta I, whose
+    inverse each step applies by np.linalg.solve, and eps cond(M) from the
+    Cholesky pivots of M + delta I, about the relative error of that solve.
+    The unknowns are (t, Re c_1, Im c_1, ..., Re c_m, Im c_m).
 
     Per point W^-2 = D (2 w w^T - J) with D = beta^-2, w = (w0, -w1) and
-    J = diag(1, -1, -1), so M is the real form of G^H D G in the c block,
-    plus U^T U with rows sqrt(2 D) (w0, -Re h, Im h), h = conj(w1) G, minus
-    sum D in the t entry.  M + delta I = L L^T by Cholesky, with
-    delta = eps trace(M), a shift that keeps the factor defined where M is
-    singular near the optimum (Altman and Gondzio, Optim. Methods Softw.
-    11, 1999); Ri = inv(L)^T, and cond(M) ~ (max L_ii / min L_ii)^2.
+    J = diag(1, -1, -1): a diagonal plus a rank-one term per cone
+    (Andersen, Roos and Terlaky, Math. Program. 95, 2003).  The c block of
+    M is the real form of G^H D G plus the rank-one terms:
+    - the real form comes from P = X^T X, X the float view of sqrt(D) G,
+      as [[a + d, c - b], [b - c, a + d]] from each 2 x 2 block
+      [[a, b], [c, d]] of P;
+    - the rank-one terms are V^T V, V the float view of
+      sqrt(2 D) conj(w1) G, with the signs of the rows (-Re h, Im h) of
+      h = conj(w1) G.
+    The t row is the float view of (2 D w0 conj(w1))^T G with those signs,
+    and the t entry is sum D (2 w0^2 - 1).  delta = eps trace(M) keeps M +
+    delta I definite where M is singular near the optimum (Altman and
+    Gondzio, Optim. Methods Softw. 11, 1999), and cond(M) is estimated as
+    (max L_ii / min L_ii)^2 from M + delta I = L L^T.
     """
-    m = G.shape[1]
-    d = W.beta ** -2
-    H = (GH * d) @ G
-    h = G * W.w1c[:, None]
-    U = np.empty((len(d), 2 * m + 1))
-    U[:, 0], U[:, m + 1:] = W.w0, h.imag
-    np.negative(h.real, out=U[:, 1:m + 1])
-    U *= np.sqrt(2.0 * d)[:, None]
-    M = U.T @ U
-    M[0, 0] -= np.sum(d)
-    M[1:m + 1, 1:m + 1] += H.real
-    M[1:m + 1, m + 1:] -= H.imag
-    M[m + 1:, 1:m + 1] += H.imag
-    M[m + 1:, m + 1:] += H.real
+    m, d = G.shape[1], W.d
+    # one (points x 2m) temporary at a time, each freed as _gram returns:
+    # two alive at once make the allocator hand their pages back to the
+    # system and fault them in again at the next step
+    P = _gram(np.sqrt(d)[:, None] * G)
+    C = _gram((np.sqrt(2.0 * d) * W.w1c)[:, None] * G)
+    diag, skew = P[:, 0, :, 0] + P[:, 1, :, 1], P[:, 1, :, 0] - P[:, 0, :, 1]
+    C[:, 0, :, 0] += diag
+    C[:, 1, :, 1] += diag
+    C[:, 0, :, 1] = skew - C[:, 0, :, 1]
+    C[:, 1, :, 0] = -skew - C[:, 1, :, 0]
+    tc = ((2.0 * d * W.w0 * W.w1c) @ G).view(float)
+    tc[::2] *= -1.0
+    M = np.empty((2 * m + 1, 2 * m + 1))
+    M[0, 0] = np.dot(d, 2.0 * W.w0 * W.w0 - 1.0)
+    M[0, 1:] = M[1:, 0] = tc
+    M[1:, 1:] = C.reshape(2 * m, 2 * m)
     M.flat[::2 * m + 2] += EPS * np.trace(M)
-    L = np.linalg.cholesky(M)
-    pivots = np.diagonal(L)
-    return np.linalg.inv(L).T, EPS * (pivots.max() / pivots.min()) ** 2
+    pivots = np.diagonal(np.linalg.cholesky(M))
+    return M, EPS * (pivots.max() / pivots.min()) ** 2
 
 
-def _cg(product, Ri, b, x, tol):
+def _cg(product, Ms, b, x, tol):
     """x with product(x) = M x = b by conjugate gradients preconditioned
-    with Ri Ri^T, from x, until the residual is at most tol |b| or after
-    len(b) steps.  Returns the start instead if its residual b - M x is the
-    smaller one, as where M is too ill-conditioned for the recurrence."""
+    with Ms^-1, Ms close to M, from x, until the residual is at most
+    tol |b| or after len(b) steps.  Returns the start instead if its
+    residual b - M x is the smaller one, as where M is too ill-conditioned
+    for the recurrence."""
     x0, r = x, b - product(x)
     res0, bound, p, rz = np.linalg.norm(r), tol * np.linalg.norm(b), 0.0, 1.0
     if not res0 > bound:
         return x0
     for _ in range(len(b)):
-        z = Ri @ (Ri.T @ r)
+        z = np.linalg.solve(Ms, r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
         q = product(p)
@@ -465,39 +503,38 @@ def _minimax(G, f, opts):
         iterations += 1
         W = _NTScaling(t, r, z0, z1, r_abs, z1_abs)
         lam0, lam1 = W.lam
-        # every Newton system M x = rhs goes through one Cholesky factor of
-        # M, shifted by eps trace(M): x = Ri Ri^T rhs.  Near a degenerate
-        # optimum M has eigenvalues below its own rounding, and x can miss
-        # M x = rhs by up to eps cond(M); past tol, conjugate gradients on M
-        # applied unformed, through W^-2 on its eigenvectors, refine it
-        Ri, err = _normal_inverse(G, GH, W)
-        res_t, res_c = float(np.sum(z0)) - 1.0, GH @ z1     # A^T z - e_t
+        # every Newton system M x = rhs is solved against M shifted by
+        # eps trace(M).  Near a degenerate optimum M has eigenvalues below
+        # its own rounding, and x can miss M x = rhs by up to eps cond(M);
+        # past tol, conjugate gradients on M applied unformed, through W^-2
+        # on its eigenvectors, refine it
+        Ms, err = _normal_inverse(G, W)
 
         def normal_product(x):
             """M x, with W^-2 applied on its eigenvectors."""
-            v0, v1 = W.inverse_square(x[0], G @ (x[1:m + 1] + 1j * x[m + 1:]))
-            vc = GH @ v1
-            return np.concatenate([[np.sum(v0)], vc.real, vc.imag])
+            v0, v1 = W.inverse_square(x[0], G @ x[1:].view(complex))
+            return np.concatenate([[np.sum(v0)], (GH @ v1).view(float)])
 
-        def newton(u0, u1):
+        def newton(rhs, u0, u1):
             """Steps (dt, dc, G dc) and the scaled steps W^-1 ds and W dz,
             stacked as the rows of d0 and d1, with W dz + W^-1 ds = u and
-            A^T dz = -(A^T z - e_t)."""
-            v0, v1 = W.inverse(u0, u1)
-            rc = GH @ v1 + res_c
-            rhs = np.concatenate([[np.sum(v0) + res_t], rc.real, rc.imag])
-            dx = Ri @ (Ri.T @ rhs)
+            M (dt, dc) = rhs, the right-hand side that u gives."""
+            dx = np.linalg.solve(Ms, rhs)
             if err > tol:
-                dx = _cg(normal_product, Ri, rhs, dx, tol)
-            dc = dx[1:m + 1] + 1j * dx[m + 1:]
+                dx = _cg(normal_product, Ms, rhs, dx, tol)
+            dc = dx[1:].view(complex)
             gdc = G @ dc
             d0, d1 = np.empty((2, npts)), np.empty((2, npts), dtype=complex)
             d0[0], d1[0] = W.inverse(dx[0], gdc)
             d0[1], d1[1] = u0 - d0[0], u1 - d1[0]
             return dx[0], dc, gdc, d0, d1
 
-        # predictor (affine scaling): lam o (W dz + W^-1 ds) = -lam o lam
-        _, _, _, d0, d1 = newton(-lam0, -lam1)
+        # predictor (affine scaling): lam o (W dz + W^-1 ds) = -lam o lam.
+        # Its right-hand side A^T W^-1 u - (A^T z - e_t) is -e_t exactly, as
+        # W^-1 (-lam) = -z
+        rhs = np.zeros(2 * m + 1)
+        rhs[0] = -1.0
+        _, _, _, d0, d1 = newton(rhs, -lam0, -lam1)
         alpha = min(1.0, _max_step(lam0, lam1, W.lam_jnorm2, d0, d1))
         mu = _dot(lam0, lam1, lam0, lam1) / npts
         (as0, az0), (as1, az1) = d0, d1
@@ -511,7 +548,10 @@ def _minimax(G, f, opts):
         e1 = -2.0 * lam0 * lam1 - as0 * az1 - az0 * as1
         u0 = (lam0 * e0 - (lam1.conj() * e1).real) / W.lam_jnorm2
         u1 = (e1 - u0 * lam1) / lam0
-        dt, dc, gdc, d0, d1 = newton(u0, u1)
+        # right-hand side A^T (W^-1 u + z) - e_t
+        v0, v1 = W.inverse(u0, u1)
+        rhs = np.concatenate([[np.sum(v0 + z0) - 1.0], (GH @ (v1 + z1)).view(float)])
+        dt, dc, gdc, d0, d1 = newton(rhs, u0, u1)
         alpha = min(1.0, STEP * _max_step(lam0, lam1, W.lam_jnorm2, d0, d1))
         if not alpha > 0.0:
             break
@@ -652,13 +692,13 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n
     rms = np.sqrt(npts)
     u, norm, lb, iterations, converged = _minimax(Q * rms, fp / fscale, opts)
     norm, lb = norm * fscale, lb * fscale
-    minimizer = _combine(poly, polys, u * (fscale * rms))
 
     total_degree = int(leading.degree)
     tn = norm ** (1.0 / total_degree) if total_degree > 0 else float("nan")
     return ChebSolve(spec=spec, n=n if n is not None else 0, total_degree=total_degree,
-                     minimizer=minimizer, norm=norm, tn=tn, iterations=iterations,
-                     converged=converged, ridge_used=Q.shape[1] < m, gap=max(norm - lb, 0.0))
+                     norm=norm, tn=tn, iterations=iterations, converged=converged,
+                     ridge_used=Q.shape[1] < m, gap=max(norm - lb, 0.0),
+                     parts=(poly, polys, u * (fscale * rms)))
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +883,7 @@ def descending_direction_order(curve, estimates):
 @dataclass
 class Assertion:
     name: str
-    kind: str      # "eq" within rel tol, "le" with slack
+    kind: str      # "eq" within rel tol, "le" with slack, "lt" strictly below
     lhs: float
     rhs: float
     tol: float

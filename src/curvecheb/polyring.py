@@ -664,8 +664,12 @@ def curve_records(p):
 def poly_from_records(records):
     terms = {}
     for rec in records:
-        a, b = int(rec["a"]), int(rec["b"])
-        terms[(a, b)] = terms.get((a, b), 0j) + complex(float(rec["re"]), float(rec["im"]))
+        try:
+            a, b = int(rec["a"]), int(rec["b"])
+            c = complex(float(rec["re"]), float(rec["im"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad curve term {rec!r}") from exc
+        terms[(a, b)] = terms.get((a, b), 0j) + c
     return BivarPoly(terms)
 
 
@@ -680,6 +684,10 @@ def write_curve(path, p):
 def read_curve(path):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a curve file holds a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != CURVE_SCHEMA:
         raise ValueError(f"unexpected curve schema {doc.get('schema')!r}")
+    if not isinstance(doc.get("terms"), list):
+        raise ValueError("curve file has no terms list")
     return poly_from_records(doc["terms"])

@@ -148,6 +148,24 @@ class TestMinimaxSolve:
         s = chebyshev_solve(hyp, Zk(0), interval_set, 5)
         assert s.minimizer.coeff(5, 0) == 1.0
 
+    def test_minimizer_is_built_once_on_first_read(self, hyp, interval_set, monkeypatch):
+        built = []
+
+        def combine(*args):
+            built.append(args)
+            return real(*args)
+
+        real = chebyshev._combine
+        monkeypatch.setattr(chebyshev, "_combine", combine)
+        s = chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), interval_set, 6)
+        before = len(built)     # the product chain's projections combine too
+        p = s.minimizer
+        assert len(built) == before + 1 and s.minimizer is p
+        # it is the residual polynomial plus the columns weighted by u, and
+        # its max modulus on the sample is the solve's norm
+        assert np.max(np.abs(p(interval_set.z1, interval_set.z2))) == pytest.approx(s.norm,
+                                                                                   rel=1e-9)
+
     def test_never_worse_than_pure_leading(self, hyp, interval_set):
         for spec, n in [(Zk(0), 6), (MQ(hyp.dirbasis[0]), 6)]:
             s = chebyshev_solve(hyp, spec, interval_set, n)
@@ -285,24 +303,26 @@ def _random_scaling(rng, npts):
 
 def _normal_matrix(G, W):
     """M = (W^-1 A)^T (W^-1 A), A (t, c) = (t, G c), from W^-1 applied per
-    point to each real coordinate of (t, Re c, Im c)."""
+    point to each real coordinate of (t, Re c_1, Im c_1, ..., Im c_m)."""
     npts, m = G.shape
     cols = [W.inverse(np.ones(npts), np.zeros(npts, dtype=complex))]
-    cols += [W.inverse(np.zeros(npts), G[:, j]) for j in range(m)]
-    cols += [W.inverse(np.zeros(npts), 1j * G[:, j]) for j in range(m)]
+    for j in range(m):
+        cols += [W.inverse(np.zeros(npts), G[:, j]), W.inverse(np.zeros(npts), 1j * G[:, j])]
     B = np.array([np.concatenate([u0, u1.real, u1.imag]) for u0, u1 in cols]).T
     return B.T @ B
 
 
 class TestNewtonFactor:
     @pytest.mark.parametrize("npts, m, seed", [(40, 5, 0), (300, 12, 1), (9, 0, 2), (1023, 36, 3)])
-    def test_inverse_factor_inverts_the_normal_matrix(self, npts, m, seed):
+    def test_shifted_matrix_inverts_the_normal_matrix(self, npts, m, seed):
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
         W = _random_scaling(rng, npts)
-        Ri, _ = chebyshev._normal_inverse(G, G.conj().T, W)
+        Ms, err = chebyshev._normal_inverse(G, W)
         Mi = np.linalg.inv(_normal_matrix(G, W))
-        assert np.linalg.norm(Ri @ Ri.T - Mi) <= 1e-10 * np.linalg.norm(Mi)
+        assert np.linalg.norm(np.linalg.solve(Ms, np.eye(2 * m + 1)) - Mi) \
+            <= 1e-10 * np.linalg.norm(Mi)
+        assert 0.0 < err < 1e-8
 
     def test_near_singular_normal_matrix_gives_a_finite_step(self):
         rng = np.random.default_rng(4)
@@ -310,14 +330,17 @@ class TestNewtonFactor:
         W = _random_scaling(rng, 200)
         v = rng.normal(size=7)
         # two columns equal to 1e-6, to 1e-10 or exactly: M has an
-        # eigenvalue below eps |M|, or 0, and the shift keeps the factor
+        # eigenvalue below eps |M|, or 0, and the shift keeps the matrix
+        # definite
         for rel in (1e-6, 1e-10, 0.0):
             G[:, 2] = G[:, 1] * (1.0 + rel)
-            Ri, _ = chebyshev._normal_inverse(G, G.conj().T, W)
+            Ms, err = chebyshev._normal_inverse(G, W)
             M = _normal_matrix(G, W)
-            step = Ri @ (Ri.T @ (M @ v))
+            step = np.linalg.solve(Ms, M @ v)
             assert np.all(np.isfinite(step))
             assert np.linalg.norm(M @ step - M @ v) <= 1e-8 * np.linalg.norm(M @ v)
+            # the estimate sends such a step on to conjugate gradients
+            assert err > 1e-8
 
     def test_inverse_square_is_the_inverse_applied_twice(self):
         rng = np.random.default_rng(5)
@@ -331,36 +354,77 @@ class TestNewtonFactor:
     @staticmethod
     def _inexact_system(smallest, off):
         """M = Q diag(lam) Q^T with eigenvalues from 1 down to smallest,
-        applied exactly, and the clipped factor of M off by about off."""
+        applied exactly, and a preconditioner, M off by about off with its
+        eigenvalues clipped at eps times the largest."""
         rng = np.random.default_rng(6)
         Q = np.linalg.qr(rng.normal(size=(9, 9)))[0]
         lam = np.logspace(0, np.log10(smallest), 9)
         E = rng.normal(size=(9, 9))
         lam_f, V = np.linalg.eigh(Q @ np.diag(lam) @ Q.T + off * (E + E.T))
-        Ri = V / np.sqrt(np.maximum(lam_f, chebyshev.EPS * lam_f[-1]))
+        Ms = (V * np.maximum(lam_f, chebyshev.EPS * lam_f[-1])) @ V.T
 
         def product(x):
             return Q @ (lam * (Q.T @ x))
 
-        return product, Ri, Q, rng
+        return product, Ms, Q, rng
 
     def test_conjugate_gradients_correct_an_inexact_factor(self):
-        product, Ri, Q, rng = self._inexact_system(1e-8, 1e-9)
+        product, Ms, Q, rng = self._inexact_system(1e-8, 1e-9)
         b = product(Q @ rng.normal(size=9))
-        clipped = Ri @ (Ri.T @ b)
+        clipped = np.linalg.solve(Ms, b)
         assert np.linalg.norm(b - product(clipped)) > 1e-7 * np.linalg.norm(b)
-        x = chebyshev._cg(product, Ri, b, clipped, 1e-8)
+        x = chebyshev._cg(product, Ms, b, clipped, 1e-8)
         assert np.linalg.norm(b - product(x)) <= 1e-8 * np.linalg.norm(b)
 
     def test_conjugate_gradients_never_raise_the_residual(self):
-        # cond(M) = 1e16, a factor wrong below 1e-6 and b of unit size in
-        # every eigendirection: the recurrence breaks down
-        product, Ri, Q, rng = self._inexact_system(1e-16, 1e-6)
+        # cond(M) = 1e16, a preconditioner wrong below 1e-6 and b of unit
+        # size in every eigendirection: the recurrence breaks down
+        product, Ms, Q, rng = self._inexact_system(1e-16, 1e-6)
         b = Q @ rng.normal(size=9)
-        clipped = Ri @ (Ri.T @ b)
-        x = chebyshev._cg(product, Ri, b, clipped, 1e-8)
+        clipped = np.linalg.solve(Ms, b)
+        x = chebyshev._cg(product, Ms, b, clipped, 1e-8)
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(b - product(x)) <= np.linalg.norm(b - product(clipped))
+
+    @staticmethod
+    def _cone_margins(lam0, lam1, a, d0, d1):
+        """u0 - |u1| over u0 + |u1| for u = lam + a d, every row of d and point."""
+        u0, u1 = lam0 + a * d0, np.abs(lam1 + a * d1)
+        return (u0 - u1) / (np.abs(u0) + u1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 2),
+           st.floats(-2.0, 2.0))
+    def test_max_step_stops_on_the_first_cone_boundary(self, seed, npts, rows, lift):
+        # lam inside every cone, d of random direction with d0 shifted by
+        # lift |d1|: the larger lift, the more rays d stays inside the cone
+        # on, and once it does on all of them no cone is hit
+        rng = np.random.default_rng(seed)
+        lam1 = rng.normal(size=npts) + 1j * rng.normal(size=npts)
+        lam0 = np.abs(lam1) * (1.0 + rng.random(npts)) + 1e-3
+        d1 = rng.normal(size=(rows, npts)) + 1j * rng.normal(size=(rows, npts))
+        d0 = lift * np.abs(d1) + 0.1 * rng.normal(size=(rows, npts))
+        a = chebyshev._max_step(lam0, lam1, (lam0 - np.abs(lam1)) * (lam0 + np.abs(lam1)),
+                                d0, d1)
+        assert a > 0.0
+        if np.isinf(a):
+            # every ray stays inside: d in the cone, or moving away from its boundary
+            for big in (1.0, 1e3, 1e6):
+                assert np.all(self._cone_margins(lam0, lam1, big, d0, d1) > -1e-12)
+        else:
+            margins = self._cone_margins(lam0, lam1, a, d0, d1)
+            assert np.all(margins >= -1e-9)
+            assert np.min(margins) <= 1e-9
+            assert np.all(self._cone_margins(lam0, lam1, 0.5 * a, d0, d1) > 0.0)
+
+    def test_max_step_is_inf_when_no_cone_is_hit(self):
+        rng = np.random.default_rng(7)
+        lam1 = rng.normal(size=20) + 1j * rng.normal(size=20)
+        lam0 = 2.0 * np.abs(lam1) + 1e-3
+        d1 = rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20))
+        a = chebyshev._max_step(lam0, lam1, (lam0 - np.abs(lam1)) * (lam0 + np.abs(lam1)),
+                                1.5 * np.abs(d1), d1)
+        assert a == np.inf
 
     @pytest.mark.parametrize("k, n", [(0, 6), (2, 6), (0, 7), (1, 8), (2, 8)])
     def test_degenerate_optimum_solves_converge(self, cubic7, k, n):

@@ -381,10 +381,19 @@ class TestConfigErrors:
         ("sample", {"set": {"kind": "z1disk", "r": float("nan")}}, "set r"),
         ("sample", {"set": {"kind": "z1disk", "r": "1e400"}}, "set r"),
         ("sample", {"set": {"kind": "pointcloud", "path": 5}}, "set path"),
+        ("curve-info", {"curve": {"path": "list.json"}}, "curve path"),
+        ("curve-info", {"curve": {"path": "no-terms.json"}}, "curve path"),
+        ("curve-info", {"curve": {"path": "term-without-b.json"}}, "curve path"),
     ], ids=["out-dir-number", "curve-path-number", "curve-file-missing", "document-list",
-            "set-r-nan", "set-r-overflow", "point-cloud-path-number"])
+            "set-r-nan", "set-r-overflow", "point-cloud-path-number", "curve-file-list",
+            "curve-file-without-terms", "curve-file-term-without-b"])
     def test_malformed_config_exits_invalid_naming_the_key(self, capsys, tmp_path, command,
                                                            doc, key):
+        # the curve files the curve-file cases name
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "no-terms.json").write_text(json.dumps({"schema": "curvecheb.curve/1"}))
+        (tmp_path / "term-without-b.json").write_text(json.dumps(
+            {"schema": "curvecheb.curve/1", "terms": [{"a": 2, "re": 1.0, "im": 0.0}]}))
         cfg = tmp_path / "m.json"
         if isinstance(doc, dict):
             write_config(cfg, **doc)
