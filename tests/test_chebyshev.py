@@ -314,7 +314,7 @@ def _normal_matrix(G, W):
 
 class TestNewtonFactor:
     @pytest.mark.parametrize("npts, m, seed", [(40, 5, 0), (300, 12, 1), (9, 0, 2), (1023, 36, 3)])
-    def test_shifted_matrix_inverts_the_normal_matrix(self, npts, m, seed):
+    def test_inverse_factor_inverts_the_normal_matrix(self, npts, m, seed):
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
         W = _random_scaling(rng, npts)
