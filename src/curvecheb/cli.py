@@ -62,163 +62,165 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(doc, key, default=None, where=""):
-    """A real setting, or a ConfigError naming the key (prefixed by where)."""
-    if key not in doc and default is None:
-        raise ConfigError(f"{where}{key} is missing")
-    value = doc.get(key, default)
-    try:
+# Config keys.  A reader takes one JSON value and the key's name, and returns
+# the value or raises a ConfigError naming the key.  Numbers are JSON numbers
+# (true and false are not one) and must be finite.
+REQUIRED = object()   # the default of a key that has none
+
+
+def _real(positive=False):
+    """A finite number, above 0 when positive."""
+    def read(value, name):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, not {value!r}")
+        if not (abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+            raise ConfigError(f"{name} must be {'positive and ' * positive}finite, not {value!r}")
         return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}{key} must be a number, not {value!r}") from None
+    return read
 
 
-def _string(doc, key, where=""):
-    """A string setting, or a ConfigError naming the key."""
-    value = doc.get(key)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}{key} must be a string, not {value!r}")
-    return value
+def _count(least):
+    """An integer >= least, which JSON may give as an integral float (512.0)."""
+    def read(value, name):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            kind = "positive" if least else "non-negative"
+            raise ConfigError(f"{name} must be a {kind} integer, not {value!r}")
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, not {value!r}")
+        return value
+    return read
 
 
-def _count(doc, key, default, where=""):
-    """An integer setting, which JSON may give as an integral float (512.0)."""
-    value = _number(doc, key, default, where)
-    if not value.is_integer():
-        raise ConfigError(f"{where}{key} must be a positive integer, not {value!r}")
-    return int(value)
+def _exact(kind, *allowed):
+    """A JSON string or boolean (kind), one of allowed when that is given."""
+    def read(value, name):
+        if not isinstance(value, kind) or (allowed and value not in allowed):
+            want = " or ".join(map(json.dumps, allowed)) or "a string"
+            raise ConfigError(f"{name} must be {want}, not {value!r}")
+        return value
+    return read
+
+
+def _labels(value, name):
+    """Direction labels: a list of [re, im] pairs or nulls, read as complex."""
+    if isinstance(value, list) and all(v is None or (isinstance(v, list) and len(v) == 2)
+                                       for v in value):
+        return [None if v is None else complex(*(_real()(x, name) for x in v)) for v in value]
+    raise ConfigError(f"{name} must be a list of [re, im] pairs or nulls, not {value!r}")
+
+
+def _terms(value, name):
+    if not (isinstance(value, list) and value and all(isinstance(t, dict) for t in value)):
+        raise ConfigError(f"{name} must be a non-empty list of term objects, not {value!r}")
+    return [_read(TERM_KEYS, term, "curve term ") for term in value]
+
+
+_RADIUS = (_real(positive=True), REQUIRED)
+# set kind -> (descriptor class, its keys besides kind and resolution)
+SET_KINDS = {
+    "z1disk": (Z1Disk, {"r": _RADIUS}),
+    "z2interval": (Z2Interval, {"lo": (_real(), REQUIRED), "hi": (_real(), REQUIRED)}),
+    "absv1v2torus": (AbsV1V2Torus, {"r1": _RADIUS, "r2": _RADIUS}),
+    "bidisktrace": (BidiskTrace, {"r1": _RADIUS, "r2": _RADIUS}),
+    "pointcloud": (PointCloud, {"path": (_exact(str), REQUIRED)}),
+}
+# key path -> (reader, default); the reader states the type and the range
+KEYS = {
+    "schema": (_exact(str, CONFIG_SCHEMA), REQUIRED),
+    "curve.terms": (_terms, None),           # one of terms and path is required
+    "curve.path": (_exact(str), None),       # a curve file, relative to the config
+    "set.kind": (_exact(str, *SET_KINDS), REQUIRED),
+    "set.resolution": (_count(sets.MIN_RESOLUTION), None),   # None: the top-level one
+    "resolution": (_count(sets.MIN_RESOLUTION), 1024),
+    "n_max": (_count(1), 8),
+    "solver.max_iter": (_count(1), 500),
+    "solver.tol": (_real(positive=True), 1e-8),
+    "out_dir": (_exact(str), None),
+    "relaxed": (_exact(bool, True, False), False),
+    "directions": (_labels, None),           # labels for relaxed-mode Robin constants
+}
+TERM_KEYS = {"a": (_count(0), REQUIRED), "b": (_count(0), REQUIRED),
+             "re": (_real(), REQUIRED), "im": (_real(), REQUIRED)}
+
+
+def _read(keys, doc, where=""):
+    """{path: value} for every key of the table, read from the JSON object
+    doc.  A key that is absent or null takes its default."""
+    values = {}
+    for path, (read, default) in keys.items():
+        parent, _, key = path.rpartition(".")
+        if not isinstance(node := doc.get(parent, {}) if parent else doc, dict):
+            raise ConfigError(f"{where}{parent} must be a JSON object, not {node!r}")
+        name = where + path.replace(".", " ")
+        if (value := node.get(key)) is None and default is REQUIRED:
+            raise ConfigError(f"{name} is missing")
+        values[path] = default if value is None else read(value, name)
+    return values
+
+
+def _load(path):
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 @dataclass
 class RunConfig:
     curve_terms: list
-    set_spec: dict
+    set_spec: dict          # the set entry as read: kind, its keys and resolution
     resolution: int = 1024
     n_max: int = 8
     solver: SolverOptions = field(default_factory=SolverOptions)
     out_dir: str | None = None
     relaxed: bool = False
-    directions: list | None = None   # labels for relaxed-mode Robin constants
+    directions: list | None = None   # complex labels (None where unlabelled)
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
-        if doc.get("schema") != CONFIG_SCHEMA:
-            raise ConfigError(f"unexpected config schema {doc.get('schema')!r}")
-        curve = doc.get("curve")
-        if not isinstance(curve, dict):
-            raise ConfigError("config needs a curve entry")
-        if "path" in curve:
-            curve_path = Path(path).parent / _string(curve, "path", "curve ")
+        return cls.from_document(_load(path), Path(path).parent)
+
+    @classmethod
+    def from_document(cls, doc, base_dir):
+        """The config a parsed JSON document holds; curve.path is relative to base_dir."""
+        v = _read(KEYS, doc)
+        terms = v["curve.terms"]
+        if v["curve.path"] is not None:
             try:
-                terms = polyring.curve_records(polyring.read_curve(curve_path))
+                terms = polyring.curve_records(
+                    polyring.read_curve(Path(base_dir) / v["curve.path"]))
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read curve path: {exc}") from exc
-        else:
-            terms = curve.get("terms")
-        if not terms or not isinstance(terms, list):
-            raise ConfigError("curve has no terms")
-        for rec in terms:
-            if not isinstance(rec, dict):
-                raise ConfigError(f"curve term {rec!r} is not an object")
-            for key in ("a", "b"):
-                power = _number(rec, key, where="curve term ")
-                if not (power.is_integer() and power >= 0):
-                    raise ConfigError(f"curve term {key} must be a non-negative integer, "
-                                      f"not {power!r}")
-            for key in ("re", "im"):
-                _number(rec, key, where="curve term ")
-        set_spec = doc.get("set")
-        if not isinstance(set_spec, dict) or "kind" not in set_spec:
-            raise ConfigError("config needs a set entry with a kind")
-        solver = doc.get("solver", {})
-        if not isinstance(solver, dict):
-            raise ConfigError("solver must be an object")
-        opts = SolverOptions(
-            max_iter=_count(solver, "max_iter", 500, "solver "),
-            tol=_number(solver, "tol", 1e-8, "solver "),
-        )
-        cfg = cls(
-            curve_terms=terms,
-            set_spec=set_spec,
-            resolution=_count(doc, "resolution", 1024),
-            n_max=_count(doc, "n_max", 8),
-            solver=opts,
-            out_dir=None if doc.get("out_dir") is None else _string(doc, "out_dir"),
-            relaxed=bool(doc.get("relaxed", False)),
-            directions=doc.get("directions"),
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        if self.resolution < sets.MIN_RESOLUTION:
-            raise ConfigError(f"resolution must be >= {sets.MIN_RESOLUTION}")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be positive")
-        try:
-            self.solver.validated()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        self.direction_labels()
+            terms = _terms(terms, "curve path terms")
+        elif terms is None:
+            raise ConfigError("curve terms or curve path is required")
+        kind = v["set.kind"]
+        return cls(curve_terms=terms,
+                   set_spec={"kind": kind, "resolution": v["set.resolution"],
+                             **_read(SET_KINDS[kind][1], doc["set"], "set ")},
+                   resolution=v["resolution"], n_max=v["n_max"],
+                   solver=SolverOptions(max_iter=v["solver.max_iter"], tol=v["solver.tol"]),
+                   out_dir=v["out_dir"], relaxed=v["relaxed"], directions=v["directions"])
 
     def build_curve(self):
         return curve_new(poly_from_records(self.curve_terms), relaxed=self.relaxed)
 
     def build_descriptor(self, base_dir="."):
         spec = dict(self.set_spec)
-        kind = spec.pop("kind")
-        res = _count(spec, "resolution", self.resolution, "set ")
-
-        def num(key):
-            if not math.isfinite(value := _number(spec, key, where="set ")):
-                raise ConfigError(f"set {key} must be finite, not {value!r}")
-            return value
-
+        make, keys = SET_KINDS[spec.pop("kind")]
+        spec["resolution"] = spec["resolution"] or self.resolution
         try:
-            if kind == "z1disk":
-                return Z1Disk(r=num("r"), resolution=res)
-            if kind == "z2interval":
-                return Z2Interval(lo=num("lo"), hi=num("hi"), resolution=res)
-            if kind == "absv1v2torus":
-                return AbsV1V2Torus(r1=num("r1"), r2=num("r2"), resolution=res)
-            if kind == "bidisktrace":
-                return BidiskTrace(r1=num("r1"), r2=num("r2"), resolution=res)
-            if kind == "pointcloud":
-                pts = read_point_cloud(Path(base_dir) / _string(spec, "path", "set "))
-                return PointCloud(points=tuple(pts))
-        except ConfigError:
-            raise
-        except (KeyError, ValueError, OSError) as exc:
-            raise ConfigError(f"bad set descriptor: {exc}") from exc
-        raise ConfigError(f"unknown set kind {kind!r}")
-
-    def direction_labels(self):
-        """The directions as complex labels (None where unlabelled)."""
-        if self.directions is None:
-            return None
-        bad = ConfigError("directions must be a list of [re, im] pairs or nulls, "
-                          f"not {self.directions!r}")
-        if not isinstance(self.directions, (list, tuple)):
-            raise bad
-        out = []
-        for item in self.directions:
-            if item is None:
-                out.append(None)
-                continue
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise bad
-            try:
-                out.append(complex(float(item[0]), float(item[1])))
-            except (TypeError, ValueError, OverflowError):
-                raise bad from None
-        return out
+            if make is PointCloud:
+                spec["points"] = tuple(read_point_cloud(Path(base_dir) / spec.pop("path")))
+            return make(**spec)
+        except (ValueError, OSError) as exc:   # a check the descriptor makes, or the cloud file
+            raise ConfigError(f"{', '.join('set ' + k for k in keys)}: {exc}") from exc
 
 
 def _fmt(x):
@@ -309,15 +311,13 @@ def cmd_sample(cfg, out):
     return EXIT_OK
 
 
-def cmd_cheb(cfg, out, class_text, n_min, n_max, allow_unconverged):
+def cmd_cheb(cfg, out, class_text, n_min, allow_unconverged):
     curve = cfg.build_curve()
     spec = parse_class_spec(curve, class_text)
-    if n_max is None:
-        n_max = cfg.n_max
-    if n_min > n_max:
+    if n_min > cfg.n_max:
         raise ConfigError("empty parameter range")
     K = sample(curve, cfg.build_descriptor())
-    seq = chebyshev_sequence(curve, spec, K, range(n_min, n_max + 1), cfg.solver)
+    seq = chebyshev_sequence(curve, spec, K, range(n_min, cfg.n_max + 1), cfg.solver)
     lines = ["class\tn\tnorm\ttn\titers\tgap\tconverged\tdropped"]
     for s in seq:
         lines.append(f"{spec.describe()}\t{s.n}\t{_fmt(s.norm)}\t{_fmt(s.tn)}\t{s.iterations}"
@@ -335,7 +335,7 @@ def cmd_robin(cfg, out):
     curve = cfg.build_curve()
     K = sample(curve, cfg.build_descriptor())
     rep = robin_constants(curve, K, cfg.n_max, cfg.solver,
-                          directions=cfg.direction_labels())
+                          directions=cfg.directions)
     lines = ["direction\trho\tT\tvia\tdiscrepancy\treliable"]
     for e in rep.per_direction:
         lam = _fmt(complex(e.lam)) if e.lam is not None else "-"
@@ -438,7 +438,7 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
                                      rec.ratio, rec.bound, slack))
 
     robin = robin_constants(curve, K, cfg.n_max, cfg.solver,
-                            directions=cfg.direction_labels())
+                            directions=cfg.directions)
     for i, e in enumerate(robin.per_direction, start=1):
         # |rho| < inf: the row checks finiteness and nothing else
         assertions.append(Assertion(
@@ -517,18 +517,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    flags = {"n_max": args.n_max, "resolution": args.resolution, "relaxed": args.relaxed}
     try:
-        cfg = RunConfig.from_file(args.config)
-        if args.n_max is not None:
-            cfg.n_max = args.n_max
-        if args.resolution is not None:
-            cfg.resolution = args.resolution
-        if args.relaxed:
-            cfg.relaxed = True
-        cfg.validate()
-        out = args.out
-        if out is None and cfg.out_dir is not None:
-            out = cfg.out_dir
+        # the flags given replace the config keys of the same name
+        doc = _load(args.config) | {k: v for k, v in flags.items() if v is not None}
+        cfg = RunConfig.from_document(doc, Path(args.config).parent)
+        out = cfg.out_dir if args.out is None else args.out
         if out:
             Path(out).mkdir(parents=True, exist_ok=True)
 
@@ -537,8 +531,7 @@ def main(argv=None):
         if args.command == "sample":
             return cmd_sample(cfg, out)
         if args.command == "cheb":
-            return cmd_cheb(cfg, out, args.class_text, args.n_min, args.n_max,
-                            args.allow_unconverged)
+            return cmd_cheb(cfg, out, args.class_text, args.n_min, args.allow_unconverged)
         if args.command == "robin":
             return cmd_robin(cfg, out)
         if args.command == "tfd":
@@ -548,7 +541,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(cfg, out, args.tolerance_scale, args.allow_unconverged)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (np.linalg.LinAlgError, RuntimeError) as exc:  # not invalid input
+    except (np.linalg.LinAlgError, RuntimeError, OverflowError) as exc:  # not invalid input
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except (ConfigError, CurveError, SamplingError, ValueError) as exc:

@@ -1,22 +1,26 @@
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvecheb import chebyshev, cli
 from curvecheb.cli import main
 
 
+HYPERBOLA_TERMS = [{"a": 2, "b": 0, "re": 1.0, "im": 0.0},
+                   {"a": 0, "b": 2, "re": -1.0, "im": 0.0},
+                   {"a": 0, "b": 0, "re": -1.0, "im": 0.0}]
+
+
 def write_config(path, **overrides):
     doc = {
         "schema": "curvecheb.config/1",
-        "curve": {"terms": [
-            {"a": 2, "b": 0, "re": 1.0, "im": 0.0},
-            {"a": 0, "b": 2, "re": -1.0, "im": 0.0},
-            {"a": 0, "b": 0, "re": -1.0, "im": 0.0},
-        ]},
+        "curve": {"terms": HYPERBOLA_TERMS},
         "set": {"kind": "absv1v2torus", "r1": 0.5, "r2": 0.5},
         "resolution": 512,
         "n_max": 10,
@@ -223,6 +227,13 @@ class TestSampleAndTfd:
         est = float(out.rsplit("estimate", 1)[1])
         assert abs(est - 0.5) / 0.5 < 0.15
 
+    def test_huge_disk_radius_is_numerical_failure(self, capsys, tmp_path):
+        # a valid radius whose lifting tolerance overflows a float
+        cfg = write_config(tmp_path / "disk.json", set={"kind": "z1disk", "r": 1e300})
+        assert main(["sample", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+
     def test_runtime_error_exits_nonconverged(self, capsys, monkeypatch, torus_config):
         def failing(*args, **kwargs):
             raise RuntimeError("degenerate candidate set")
@@ -384,9 +395,19 @@ class TestConfigErrors:
         ("curve-info", {"curve": {"path": "list.json"}}, "curve path"),
         ("curve-info", {"curve": {"path": "no-terms.json"}}, "curve path"),
         ("curve-info", {"curve": {"path": "term-without-b.json"}}, "curve path"),
+        ("curve-info", {"relaxed": "false"}, "relaxed"),
+        ("cheb --class mv:1", {"n_max": True}, "n_max"),
+        ("cheb --class mv:1", {"solver": {"tol": True}}, "solver tol"),
+        ("curve-info", {"curve": {"terms": [{"a": 2, "b": 0, "re": float("nan"), "im": 0.0},
+                                            {"a": 0, "b": 2, "re": -1.0, "im": 0.0}]}},
+         "curve term re"),
+        ("curve-info", {"curve": {"terms": [{"a": 2, "b": 0, "re": "1e400", "im": 0.0},
+                                            {"a": 0, "b": 2, "re": -1.0, "im": 0.0}]}},
+         "curve term re"),
     ], ids=["out-dir-number", "curve-path-number", "curve-file-missing", "document-list",
             "set-r-nan", "set-r-overflow", "point-cloud-path-number", "curve-file-list",
-            "curve-file-without-terms", "curve-file-term-without-b"])
+            "curve-file-without-terms", "curve-file-term-without-b", "relaxed-string",
+            "n-max-bool", "solver-tol-bool", "coefficient-nan", "coefficient-overflow"])
     def test_malformed_config_exits_invalid_naming_the_key(self, capsys, tmp_path, command,
                                                            doc, key):
         # the curve files the curve-file cases name
@@ -401,7 +422,7 @@ class TestConfigErrors:
             cfg.write_text(cfg.read_text().replace('"1e400"', "1e400"))
         else:
             cfg.write_text(json.dumps(doc))
-        assert main([command, "--config", str(cfg)]) == 2
+        assert main([*command.split(), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
@@ -411,3 +432,139 @@ class TestExtremal:
     def test_nonpositive_degree_invalid(self, capsys, torus_config, n):
         assert main(["extremal", "--config", torus_config, "--n", n]) == 2
         assert "--n must be a positive integer" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed exit-code contract: a mutated config exits 2 naming the mutated key,
+# or runs to 0, 1 or 3; main never raises and nothing prints a traceback.
+# ---------------------------------------------------------------------------
+
+FUZZ_COMMANDS = (["curve-info"], ["sample"], ["cheb", "--class", "mz1"])
+
+
+def fuzz_bases(tmp):
+    """Small valid configs on which every fuzzed command exits 0.
+
+    Every key of `cli.KEYS` appears in one of them.  The sets are chosen so
+    that a config still valid after one mutation (a key dropped to its
+    default, a coefficient made negative) still describes a set on the
+    curve: a torus meets the hyperbola only for one product of radii, and a
+    point cloud only while the curve is the one in its file.
+    """
+    (tmp / "hyperbola.json").write_text(
+        json.dumps({"schema": "curvecheb.curve/1", "terms": HYPERBOLA_TERMS}))
+    (tmp / "cloud.txt").write_text(
+        "".join(f"{np.cosh(t):.17g} 0 {np.sinh(t):.17g} 0\n" for t in np.linspace(-1.5, 1.5, 48)))
+    schema = "curvecheb.config/1"
+    return [
+        {"schema": schema, "curve": {"terms": HYPERBOLA_TERMS},
+         "set": {"kind": "z2interval", "lo": -1.0, "hi": 1.0}, "resolution": 64, "n_max": 3,
+         "solver": {"max_iter": 60, "tol": 1e-8}, "relaxed": True,
+         "directions": [[1.0, 0.0], None], "seed": 0},
+        {"schema": schema, "curve": {"terms": HYPERBOLA_TERMS},
+         "set": {"kind": "z1disk", "r": 1.5, "resolution": 32}, "resolution": 64, "n_max": 2,
+         "out_dir": str(tmp / "out")},
+        {"schema": schema, "curve": {"path": "hyperbola.json"},
+         "set": {"kind": "pointcloud", "path": str(tmp / "cloud.txt")}, "n_max": 2},
+    ]
+
+
+def config_paths(node, path=()):
+    """The path of every object member and list item below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from config_paths(child, path + (key,))
+
+
+def key_name(path):
+    """The key a path leads to, as error messages name it: "solver tol",
+    "curve term re" for a member of a curve term, "directions" for a label."""
+    words = []
+    for part in path:
+        if isinstance(part, str):
+            words.append(part)
+        elif words[-1] == "terms":
+            words[-1] = "term"
+    return " ".join(words)
+
+
+def json_type(value):
+    return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) \
+        else type(value).__name__
+
+
+# mutation kind -> the values it may put in place of old (None: drop the key)
+MUTATIONS = {
+    "drop": lambda old: [None],
+    "type": lambda old: [v for v in (True, "x", 7, None, [1.0], {"x": 1.0})
+                         if json_type(v) != json_type(old)],
+    # 10 ** 400 is a JSON integer too large for a float, where a real is read
+    "non-finite": lambda old: [float("nan"), float("inf"), float("-inf")]
+    + [10 ** 400] * isinstance(old, float),
+    "negative": lambda old: [-abs(old) - 1] if json_type(old) == "number" else [],
+    "empty": lambda old: ["", [], {}],
+    "shape": lambda old: [[old], {"x": old}],
+}
+
+
+def value_at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def mutate(doc, path, kind, value):
+    doc = json.loads(json.dumps(doc))
+    parent = value_at(doc, path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def run_commands(cfg, doc):
+    """(command, exit code, stderr) for every fuzzed command run on doc."""
+    cfg.write_text(json.dumps(doc))
+    for command in FUZZ_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*command, "--config", str(cfg)])
+        yield command, rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    return tmp, fuzz_bases(tmp)
+
+
+def test_fuzz_bases_run(fuzz_dir):
+    tmp, bases = fuzz_dir
+    for base in bases:
+        for command, rc, err in run_commands(tmp / "config.json", base):
+            assert rc == 0, (base, command, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_config_exits_invalid_naming_the_key_or_runs(fuzz_dir, data):
+    tmp, bases = fuzz_dir
+    # each key as likely as any other, whichever base holds it and how often
+    places = [(base, path) for base in bases for path in config_paths(base)]
+    name = data.draw(st.sampled_from(sorted({key_name(p) for _, p in places})), label="key")
+    base, path = data.draw(st.sampled_from([(b, p) for b, p in places if key_name(p) == name]))
+    old = value_at(base, path)
+    kind = data.draw(st.sampled_from([k for k in sorted(MUTATIONS) if MUTATIONS[k](old)
+                                      and (k != "drop" or isinstance(path[-1], str))]))
+    value = data.draw(st.sampled_from(MUTATIONS[kind](old)), label="value")
+    # another JSON type (but null, which takes the default), a non-finite
+    # number or a value wrapped in a list is invalid for every key but seed
+    invalid = path[0] != "seed" and (kind in ("type", "non-finite") and value is not None
+                                     or kind == "shape" and isinstance(value, list))
+    for command, rc, err in run_commands(tmp / "config.json", mutate(base, path, kind, value)):
+        assert "Traceback" not in err, (command, err)
+        named = rc == 2 and key_name(path) in err
+        assert named if invalid else (named or rc in (0, 1, 3)), (command, rc, err)
