@@ -14,12 +14,10 @@ import numpy as np
 from curvecheb import Z1Disk, sample
 from curvecheb.gallery import random_valid_curve
 from curvecheb.chebyshev import (
-    MQ,
     SolverOptions,
-    Zk,
-    chebyshev_sequence,
-    constant_estimate,
     descending_direction_order,
+    directional_constants,
+    ordered_constants,
 )
 
 
@@ -39,20 +37,14 @@ def main():
     print(f"sampled {len(K)} points on |z1| = {args.radius}")
     opts = SolverOptions(max_iter=300)
 
-    ests = []
-    for k in range(1, curve.d + 1):
-        seq = chebyshev_sequence(curve, MQ(curve.dirbasis[k - 1]), K,
-                                 range(1, max(3, args.n_max // (curve.d - 1)) + 1), opts)
-        ests.append(constant_estimate(seq))
+    ests = directional_constants(curve, K, args.n_max, opts)
     order = descending_direction_order(curve, ests)
     t_sorted = [ests[i].estimate for i in order]
 
     print(f"{'rank':>4} {'T(K,lam)':>10} {'T(K,Z(k-1))':>12} {'rel diff':>9}")
-    for k in range(curve.d):
-        seq = chebyshev_sequence(curve, Zk(k), K, range(1, args.n_max - k + 1), opts)
-        z_est = constant_estimate(seq).estimate
-        rel = abs(z_est - t_sorted[k]) / t_sorted[k]
-        print(f"{k + 1:>4} {t_sorted[k]:>10.5f} {z_est:>12.5f} {rel:>9.4f}")
+    for k, z in enumerate(ordered_constants(curve, K, args.n_max, opts)):
+        rel = abs(z.estimate - t_sorted[k]) / t_sorted[k]
+        print(f"{k + 1:>4} {t_sorted[k]:>10.5f} {z.estimate:>12.5f} {rel:>9.4f}")
     print(f"analytic value for this trace: {args.radius} for every direction")
     print(f"({time.time() - t0:.1f}s)")
 

@@ -20,7 +20,7 @@ import numpy as np
 from curvecheb import AbsV1V2Torus, BidiskTrace, Z2Interval, sample
 from curvecheb.gallery import coordinate_hyperbola, hyperbola
 from curvecheb.polyring import BASIS_C, BASIS_S
-from curvecheb.chebyshev import MQ, SolverOptions, chebyshev_sequence, constant_estimate
+from curvecheb.chebyshev import SolverOptions, directional_constants
 from curvecheb.transfinite import transfinite_diameter
 from curvecheb.extremal import probe_points, robin_constants, vk_max
 
@@ -58,17 +58,13 @@ def main():
         print(f"\n== {name} ({len(K)} sample points) ==")
 
         if curve.dirbasis is not None:
-            logs = []
-            for k in range(1, curve.d + 1):
-                seq = chebyshev_sequence(curve, MQ(curve.dirbasis[k - 1]), K,
-                                         range(1, args.n_max + 1), opts)
-                est = constant_estimate(seq)
-                logs.append(math.log(est.estimate))
+            ests = directional_constants(curve, K, args.n_max, opts)
+            for k, est in enumerate(ests, start=1):
                 print(f"  T(K, lam_{k}) = {est.estimate:.6f}"
                       f"   [{est.lower:.6f}, {est.upper:.6f}]")
             dS, _ = transfinite_diameter(curve, K, BASIS_S, args.leja_depth)
             dC, _ = transfinite_diameter(curve, K, BASIS_C, args.leja_depth)
-            prod = math.exp(np.mean(logs))
+            prod = math.exp(np.mean([math.log(est.estimate) for est in ests]))
             print(f"  diameters: S {dS:.4f}  C {dC:.4f}  product {prod:.4f}")
 
         directions = [0j, None] if curve.relaxed else None

@@ -775,7 +775,7 @@ def tau_sequence(curve, K, basis_id, count, opts=None):
 @dataclass
 class ConstantEstimate:
     spec: object
-    values: list                # (n, tn) pairs
+    solves: list                # the ChebSolves read, by ascending n
     estimate: float
     method: str                 # "infRule" or "tailMean"
     lower: float
@@ -783,7 +783,7 @@ class ConstantEstimate:
     reliable: bool
 
 
-def constant_estimate(seq, spec=None):
+def constant_estimate(seq):
     """Estimate the Chebyshev constant from a sequence of solves.
 
     Product-kind classes with a constant prefactor (the powers of a single
@@ -797,8 +797,7 @@ def constant_estimate(seq, spec=None):
     """
     if len(seq) < 3:
         raise ValueError("need at least 3 solves to estimate a constant")
-    spec = spec if spec is not None else seq[0].spec
-    values = [(s.n, s.tn) for s in seq]
+    spec = seq[0].spec
     if isinstance(spec, _Product) and spec.prefactor.degree == 0:
         method = "infRule"
         estimate = min(s.tn for s in seq)
@@ -827,7 +826,7 @@ def constant_estimate(seq, spec=None):
     reliable = all(s.converged for s in tail)
     return ConstantEstimate(
         spec=spec,
-        values=values,
+        solves=seq,
         estimate=float(estimate),
         method=method,
         lower=float(lower),
@@ -837,15 +836,21 @@ def constant_estimate(seq, spec=None):
 
 
 def directional_constants(curve, K, max_degree, opts=None):
-    """Estimates of T(K, lam_k) for every direction, via powers of v_k."""
+    """Estimates of T(K, lam_k) for every direction k, via powers of v_k
+    (the only place their sequences are run)."""
     curve.require_directional("directional constants")
-    d = curve.d
-    n_top = max(3, max_degree // (d - 1))
-    out = []
-    for k in range(1, d + 1):
-        seq = chebyshev_sequence(curve, MQ(curve.dirbasis[k - 1]), K, range(1, n_top + 1), opts)
-        out.append(constant_estimate(seq))
-    return out
+    n_top = max(3, max_degree // (curve.d - 1))
+    return [constant_estimate(chebyshev_sequence(curve, MQ(v), K, range(1, n_top + 1), opts))
+            for v in curve.dirbasis]
+
+
+def ordered_constants(curve, K, max_degree, opts=None):
+    """Estimates of T(K, Z(k)) for k = 0..d-1, the S-ordering classes to
+    total degree about max_degree (the only place their sequences are run).
+    They need no directions, so a relaxed curve has them too."""
+    return [constant_estimate(chebyshev_sequence(curve, Zk(k), K,
+                                                 range(1, max(4, max_degree - k) + 1), opts))
+            for k in range(curve.d)]
 
 
 # constants whose logs differ by at most this are treated as ties: they are
@@ -915,9 +920,13 @@ def _assert_le(name, lhs, rhs, slack, note=""):
                      lhs <= rhs * (1.0 + slack) + 1e-300, note)
 
 
-EQ_TOL = 0.10        # equality of constants, relative
+# verify bands, each scaled by --tolerance-scale
+EQ_TOL = 0.10        # equality of constants and of the two diameters, relative
 INEQ_SLACK = 0.02    # inequalities, discretization slack
 EXACT_TOL = 1e-9     # finite-n scale invariances
+DIAMETER_TOL = 0.15  # diameter against the directional product, relative
+LIMIT_SLACK = 0.05   # finite-n against the limit: tau ratios (relative), the
+                     # Robin cross-check and the families gap (absolute)
 
 
 def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
@@ -936,26 +945,22 @@ def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
     asserts = []
     table = []
 
-    def run_seq(spec, n_range):
-        seq = chebyshev_sequence(curve, spec, K, n_range, opts)
-        for s in seq:
-            table.append((spec.describe(), s.n, s.norm, s.tn))
+    def run_seq(spec, top):
+        """The solves of spec at n = 1..top, added to the table."""
+        seq = chebyshev_sequence(curve, spec, K, range(1, top + 1), opts)
+        table.extend((spec.describe(), s.n, s.norm, s.tn) for s in seq)
         return seq
 
     # directional constants and their ordering
     dir_ests = directional_constants(curve, K, max_n, opts)
     for k, est in enumerate(dir_ests, start=1):
-        for n, tn in est.values:
-            table.append((f"M(v{k})", n, float("nan"), tn))
+        table.extend((f"M(v{k})", s.n, float("nan"), s.tn) for s in est.solves)
     order = descending_direction_order(curve, dir_ests)
     t_sorted = [dir_ests[i].estimate for i in order]
 
     # S-ordering constants
-    z_ests = []
-    for k in range(d):
-        n_range = range(1, max(4, max_n - k) + 1)
-        seq = run_seq(Zk(k), n_range)
-        z_ests.append(constant_estimate(seq))
+    z_ests = ordered_constants(curve, K, max_n, opts)
+    table.extend((e.spec.describe(), s.n, s.norm, s.tn) for e in z_ests for s in e.solves)
 
     for k in range(1, d + 1):
         asserts.append(
@@ -986,8 +991,7 @@ def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
 
     # directional constant as a z1-power class with prefactor v_k
     for k in range(1, d + 1):
-        n_range = range(1, max(4, max_n - (d - 1)) + 1)
-        seq = run_seq(MRQ(curve.dirbasis[k - 1], BivarPoly.monomial(1, 0)), n_range)
+        seq = run_seq(MRQ(curve.dirbasis[k - 1], BivarPoly.monomial(1, 0)), max(4, max_n - d + 1))
         est = constant_estimate(seq)
         asserts.append(
             _assert_eq(
@@ -999,13 +1003,12 @@ def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
         )
 
     # monomial prefactors of total degree <= d-2 leave the constant alone
+    n_top = max(3, max_n // (d - 1))
     for k in range(1, d + 1):
         for j1 in range(d - 1):
             for j2 in range(d - 1 - j1):
-                pref = BivarPoly.monomial(j1, j2)
-                n_top = max(3, max_n // (d - 1))
-                seq = run_seq(MRQ(pref, curve.dirbasis[k - 1]), range(1, n_top + 1))
-                est = constant_estimate(seq)
+                est = constant_estimate(
+                    run_seq(MRQ(BivarPoly.monomial(j1, j2), curve.dirbasis[k - 1]), n_top))
                 asserts.append(
                     _assert_eq(
                         f"monomial prefactor z1^{j1} z2^{j2} keeps direction constant {k}",
@@ -1017,8 +1020,8 @@ def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
 
     # scale laws at every n on identical samples
     z1m = BivarPoly.monomial(1, 0)
-    base = run_seq(MRQ(BivarPoly.monomial(0, 1), z1m), range(1, 7))
-    scaled_r = run_seq(MRQ(BivarPoly.monomial(0, 1) * 3.0, z1m), range(1, 7))
+    base = run_seq(MRQ(BivarPoly.monomial(0, 1), z1m), 6)
+    scaled_r = run_seq(MRQ(BivarPoly.monomial(0, 1) * 3.0, z1m), 6)
     for s0, s1 in zip(base, scaled_r):
         asserts.append(
             _assert_eq(
@@ -1029,8 +1032,8 @@ def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
             )
         )
     lam = 2j
-    base_q = run_seq(MRQ(BivarPoly.constant(1.0), z1m), range(1, 7))
-    scaled_q = run_seq(MRQ(BivarPoly.constant(1.0), z1m * lam), range(1, 7))
+    base_q = run_seq(MRQ(BivarPoly.constant(1.0), z1m), 6)
+    scaled_q = run_seq(MRQ(BivarPoly.constant(1.0), z1m * lam), 6)
     for s0, s1 in zip(base_q, scaled_q):
         asserts.append(
             _assert_eq(
@@ -1044,24 +1047,24 @@ def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
     # product prefactor never increases the constant
     r1 = BivarPoly.monomial(0, 1)
     r2 = BivarPoly.monomial(1, 0)
-    e_r1 = constant_estimate(run_seq(MRQ(r1, z1m), range(1, max(4, max_n - 1) + 1)))
-    e_r1r2 = constant_estimate(run_seq(MRQ(r1 * r2, z1m), range(1, max(4, max_n - 2) + 1)))
+    e_r1 = constant_estimate(run_seq(MRQ(r1, z1m), max(4, max_n - 1)))
+    e_r1r2 = constant_estimate(run_seq(MRQ(r1 * r2, z1m), max(4, max_n - 2)))
     asserts.append(
         _assert_le("product prefactor does not increase the constant",
                    e_r1r2.estimate, e_r1.estimate, ineq)
     )
 
     # absorbing a power of the base into the prefactor changes nothing
-    e_rq = constant_estimate(run_seq(MRQ(r1 * z1m, z1m), range(1, max(4, max_n - 2) + 1)))
+    e_rq = constant_estimate(run_seq(MRQ(r1 * z1m, z1m), max(4, max_n - 2)))
     asserts.append(
         _assert_eq("prefactor absorbed into the base keeps the constant",
                    e_rq.estimate, e_r1.estimate, eq_tol)
     )
 
     # sum of equal-degree prefactors: finite-n bound with the 2^(1/deg) factor
-    e_r2 = run_seq(MRQ(r2, z1m), range(1, 7))
+    e_r2 = run_seq(MRQ(r2, z1m), 6)
     e_r1n = base  # same class as MRQ(z2, z1) above
-    e_sum = run_seq(MRQ(r1 + r2, z1m), range(1, 7))
+    e_sum = run_seq(MRQ(r1 + r2, z1m), 6)
     for s_sum, s_a, s_b in zip(e_sum, e_r1n, e_r2):
         bound = 2.0 ** (1.0 / s_sum.total_degree) * max(s_a.tn, s_b.tn)
         asserts.append(

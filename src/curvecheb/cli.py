@@ -32,6 +32,9 @@ from .sets import (
     write_point_cloud,
 )
 from .chebyshev import (
+    DIAMETER_TOL,
+    EQ_TOL,
+    LIMIT_SLACK,
     MQ,
     Assertion,
     Mz1jVk,
@@ -42,7 +45,6 @@ from .chebyshev import (
     _assert_le,
     chebyshev_sequence,
     comparison_report,
-    directional_constants,
     sweep,
     sweep_solves,
     tau_sequence,
@@ -79,8 +81,8 @@ def _real(positive=False):
     return read
 
 
-def _count(least):
-    """An integer >= least, which JSON may give as an integral float (512.0)."""
+def _count(least, most=math.inf):
+    """An integer in least..most, which JSON may give as an integral float (512.0)."""
     def read(value, name):
         if isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -89,6 +91,8 @@ def _count(least):
             raise ConfigError(f"{name} must be a {kind} integer, not {value!r}")
         if value < least:
             raise ConfigError(f"{name} must be >= {least}, not {value!r}")
+        if value > most:
+            raise ConfigError(f"{name} must be <= {most}, not {value!r}")
         return value
     return read
 
@@ -117,6 +121,12 @@ def _terms(value, name):
     return [_read(TERM_KEYS, term, "curve term ") for term in value]
 
 
+# upper bounds on counts, far above any value in use, so that a huge value
+# (a term power of 10**400) exits 2 instead of running for ever
+MAX_POWER = 100             # of z1 or z2 in a curve term
+MAX_RESOLUTION = 1 << 20
+MAX_N = 1000
+_RESOLUTION = _count(sets.MIN_RESOLUTION, MAX_RESOLUTION)
 _RADIUS = (_real(positive=True), REQUIRED)
 # set kind -> (descriptor class, its keys besides kind and resolution)
 SET_KINDS = {
@@ -124,7 +134,7 @@ SET_KINDS = {
     "z2interval": (Z2Interval, {"lo": (_real(), REQUIRED), "hi": (_real(), REQUIRED)}),
     "absv1v2torus": (AbsV1V2Torus, {"r1": _RADIUS, "r2": _RADIUS}),
     "bidisktrace": (BidiskTrace, {"r1": _RADIUS, "r2": _RADIUS}),
-    "pointcloud": (PointCloud, {"path": (_exact(str), REQUIRED)}),
+    "pointcloud": (PointCloud, {"path": (_exact(str), REQUIRED)}),   # relative to the config
 }
 # key path -> (reader, default); the reader states the type and the range
 KEYS = {
@@ -132,16 +142,16 @@ KEYS = {
     "curve.terms": (_terms, None),           # one of terms and path is required
     "curve.path": (_exact(str), None),       # a curve file, relative to the config
     "set.kind": (_exact(str, *SET_KINDS), REQUIRED),
-    "set.resolution": (_count(sets.MIN_RESOLUTION), None),   # None: the top-level one
-    "resolution": (_count(sets.MIN_RESOLUTION), 1024),
-    "n_max": (_count(1), 8),
+    "set.resolution": (_RESOLUTION, None),   # None: the top-level one
+    "resolution": (_RESOLUTION, 1024),
+    "n_max": (_count(1, MAX_N), 8),
     "solver.max_iter": (_count(1), 500),
     "solver.tol": (_real(positive=True), 1e-8),
     "out_dir": (_exact(str), None),
     "relaxed": (_exact(bool, True, False), False),
     "directions": (_labels, None),           # labels for relaxed-mode Robin constants
 }
-TERM_KEYS = {"a": (_count(0), REQUIRED), "b": (_count(0), REQUIRED),
+TERM_KEYS = {"a": (_count(0, MAX_POWER), REQUIRED), "b": (_count(0, MAX_POWER), REQUIRED),
              "re": (_real(), REQUIRED), "im": (_real(), REQUIRED)}
 
 
@@ -188,7 +198,8 @@ class RunConfig:
 
     @classmethod
     def from_document(cls, doc, base_dir):
-        """The config a parsed JSON document holds; curve.path is relative to base_dir."""
+        """The config a parsed JSON document holds; curve.path and a point
+        cloud's set.path are relative to base_dir."""
         v = _read(KEYS, doc)
         terms = v["curve.terms"]
         if v["curve.path"] is not None:
@@ -201,9 +212,11 @@ class RunConfig:
         elif terms is None:
             raise ConfigError("curve terms or curve path is required")
         kind = v["set.kind"]
+        set_keys = _read(SET_KINDS[kind][1], doc["set"], "set ")
+        if "path" in set_keys:
+            set_keys["path"] = str(Path(base_dir) / set_keys["path"])
         return cls(curve_terms=terms,
-                   set_spec={"kind": kind, "resolution": v["set.resolution"],
-                             **_read(SET_KINDS[kind][1], doc["set"], "set ")},
+                   set_spec={"kind": kind, "resolution": v["set.resolution"], **set_keys},
                    resolution=v["resolution"], n_max=v["n_max"],
                    solver=SolverOptions(max_iter=v["solver.max_iter"], tol=v["solver.tol"]),
                    out_dir=v["out_dir"], relaxed=v["relaxed"], directions=v["directions"])
@@ -211,13 +224,13 @@ class RunConfig:
     def build_curve(self):
         return curve_new(poly_from_records(self.curve_terms), relaxed=self.relaxed)
 
-    def build_descriptor(self, base_dir="."):
+    def build_descriptor(self):
         spec = dict(self.set_spec)
         make, keys = SET_KINDS[spec.pop("kind")]
         spec["resolution"] = spec["resolution"] or self.resolution
         try:
             if make is PointCloud:
-                spec["points"] = tuple(read_point_cloud(Path(base_dir) / spec.pop("path")))
+                spec["points"] = tuple(read_point_cloud(spec.pop("path")))
             return make(**spec)
         except (ValueError, OSError) as exc:   # a check the descriptor makes, or the cloud file
             raise ConfigError(f"{', '.join('set ' + k for k in keys)}: {exc}") from exc
@@ -409,6 +422,9 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
     depth_tau = min(cfg.n_max, 8)
     m_tau, _ = block_counts(curve, BASIS_S, depth_tau)
     run = leja_extend(leja_start(curve, K, BASIS_S), m_tau)
+    # the directional constants, read by the diameter rows too
+    robin = robin_constants(curve, K, cfg.n_max, cfg.solver,
+                            directions=cfg.directions)
 
     if curve.dirbasis is not None:
         rep = comparison_report(curve, K, cfg.n_max, cfg.solver, tol_scale=tol_scale)
@@ -416,29 +432,26 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
         for label, n, norm, tn in rep.table:
             table_lines.append(f"{label}\t{n}\t{_fmt(norm)}\t{_fmt(tn)}")
 
-        dir_ests = directional_constants(curve, K, cfg.n_max, cfg.solver)
-        product = float(np.prod([e.estimate for e in dir_ests])) ** (1.0 / curve.d)
+        product = float(np.prod([e.t_estimate for e in robin.per_direction])) ** (1.0 / curve.d)
         depth = max(cfg.n_max, 24)
         m_needed, _ = block_counts(curve, BASIS_S, depth)
         if m_needed <= len(K.points):
             dS, _ = transfinite_diameter(curve, K, BASIS_S, depth, run=run)
             dC, _ = transfinite_diameter(curve, K, BASIS_C, depth)
             assertions.append(_assert_eq("diameter agrees between orderings", dS, dC,
-                                         0.10 * tol_scale))
+                                         EQ_TOL * tol_scale))
             assertions.append(_assert_eq("diameter matches directional product (S)",
-                                         dS, product, 0.15 * tol_scale))
+                                         dS, product, DIAMETER_TOL * tol_scale))
             assertions.append(_assert_eq("diameter matches directional product (C)",
-                                         dC, product, 0.15 * tol_scale))
+                                         dC, product, DIAMETER_TOL * tol_scale))
 
     # tau ratio inequality along the S ordering
     taus = tau_sequence(curve, K, BASIS_S, m_tau, cfg.solver)
-    slack = 0.05 * tol_scale
-    for rec in vn_tau_check(run, taus, slack=slack):
+    limit_slack = LIMIT_SLACK * tol_scale
+    for rec in vn_tau_check(run, taus, slack=limit_slack):
         assertions.append(_assert_le(f"determinant ratio bound at index {rec.index}",
-                                     rec.ratio, rec.bound, slack))
+                                     rec.ratio, rec.bound, limit_slack))
 
-    robin = robin_constants(curve, K, cfg.n_max, cfg.solver,
-                            directions=cfg.directions)
     for i, e in enumerate(robin.per_direction, start=1):
         # |rho| < inf: the row checks finiteness and nothing else
         assertions.append(Assertion(
@@ -448,14 +461,14 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
         ))
         if math.isfinite(e.discrepancy):
             assertions.append(_assert_le(f"robin cross-check for direction {i}",
-                                         e.discrepancy, 5e-2 * tol_scale, 0.0))
+                                         e.discrepancy, limit_slack, 0.0))
 
     try:
         pts = probe_points(curve, [1.5, 2.5, 4.0], 48)
         oracle_eval(K.descriptor, pts, curve=curve)
         rep = vk_max(curve, K, cfg.n_max, pts, cfg.solver, robin=robin)
         assertions.append(_assert_le("families max matches the closed form",
-                                     rep.gap_families, 5e-2 * tol_scale, 0.0))
+                                     rep.gap_families, limit_slack, 0.0))
     except OracleError:
         pass
 

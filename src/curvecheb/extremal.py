@@ -19,12 +19,11 @@ import numpy as np
 from .polyring import leading_part, normal_form
 from .sets import AbsV1V2Torus, BidiskTrace, Z1Disk, Z2Interval, _lift
 from .chebyshev import (
-    MQ,
     Mz1jVk,
     Zk,
-    chebyshev_sequence,
     chebyshev_solve,
-    constant_estimate,
+    directional_constants,
+    ordered_constants,
     tie_groups,
 )
 
@@ -79,46 +78,27 @@ def robin_constants(curve, K, max_degree, opts=None, directions=None):
     caller-supplied directions (the descending-T order), which is how the
     coordinate-axes example is handled.
     """
-    entries = []
-    if curve.dirbasis is not None:
-        d = curve.d
-        n_top = max(3, max_degree // (d - 1))
-        for k in range(1, d + 1):
-            seq = chebyshev_sequence(curve, MQ(curve.dirbasis[k - 1]), K,
-                                     range(1, n_top + 1), opts)
-            est = constant_estimate(seq)
-            top = seq[-1]
-            fin = robin_of_poly(curve, top.minimizer * (1.0 / top.norm), k)
-            disc = abs(fin - (-math.log(est.estimate)))
-            entries.append(
-                DirectionRobin(
-                    lam=curve.directions[k - 1],
-                    rho=-math.log(est.estimate),
-                    t_estimate=est.estimate,
-                    via="directClass",
-                    discrepancy=disc,
-                    reliable=est.reliable,
-                )
-            )
+    direct = curve.dirbasis is not None
+    if direct:
+        labels = curve.directions
+        ests = directional_constants(curve, K, max_degree, opts)
     else:
-        d = curve.d
-        labels = list(directions) if directions else [None] * d
-        if len(labels) != d:
-            raise ValueError(f"expected {d} direction labels, got {len(labels)}")
-        for k in range(d):
-            n_range = range(1, max(4, max_degree - k) + 1)
-            seq = chebyshev_sequence(curve, Zk(k), K, n_range, opts)
-            est = constant_estimate(seq)
-            entries.append(
-                DirectionRobin(
-                    lam=labels[k],
-                    rho=-math.log(est.estimate),
-                    t_estimate=est.estimate,
-                    via="orderedClass",
-                    discrepancy=float("nan"),
-                    reliable=est.reliable,
-                )
-            )
+        labels = list(directions) if directions else [None] * curve.d
+        if len(labels) != curve.d:
+            raise ValueError(f"expected {curve.d} direction labels, got {len(labels)}")
+        ests = ordered_constants(curve, K, max_degree, opts)
+    entries = []
+    for k, (lam, est) in enumerate(zip(labels, ests), start=1):
+        rho = -math.log(est.estimate)
+        disc = float("nan")
+        if direct:
+            # the finite-n Robin constant of the top minimizer read
+            top = est.solves[-1]
+            disc = abs(robin_of_poly(curve, top.minimizer * (1.0 / top.norm), k) - rho)
+        entries.append(DirectionRobin(
+            lam=lam, rho=rho, t_estimate=est.estimate,
+            via="directClass" if direct else "orderedClass",
+            discrepancy=disc, reliable=est.reliable))
 
     # ascending rho, ties within STRICT_RHO_TOL by ascending phase
     phases = [float(np.angle(e.lam)) if e.lam is not None else 0.0 for e in entries]

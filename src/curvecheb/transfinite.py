@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polyring import basis_enumerate, basis_through_degree, parent_rule
-from .chebyshev import Tau, basis_values
+from .chebyshev import LIMIT_SLACK, Tau, basis_values
 
 NEG_INF = float("-inf")
 
@@ -189,7 +189,7 @@ class VnTauRecord:
     passed: bool
 
 
-def vn_tau_check(run, tau_solves, slack=0.05):
+def vn_tau_check(run, tau_solves, slack=LIMIT_SLACK):
     """Check V_n / V_{n-1} <= n * tau_n^deg(b_n) * (1 + slack) per index.
 
     The greedy V is only a lower bound of the true sup, so violations

@@ -220,6 +220,21 @@ class TestSampleAndTfd:
                            set={"kind": "pointcloud", "path": str(out / "sample.txt")})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o2")]) == 0
 
+    def test_point_cloud_path_is_relative_to_the_config(self, capsys, tmp_path, monkeypatch):
+        # like curve.path, set.path names a file beside the config, whatever
+        # the working directory
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "cfg" / "cloud.txt").write_text(
+            "".join(f"{np.cosh(t):.17g} 0 {np.sinh(t):.17g} 0\n"
+                    for t in np.linspace(-1.5, 1.5, 48)))
+        cfg = write_config(tmp_path / "cfg" / "cloud.json",
+                           set={"kind": "pointcloud", "path": "cloud.txt"})
+        for cwd in ("cfg", "elsewhere"):
+            monkeypatch.chdir(tmp_path / cwd)
+            assert main(["sample", "--config", cfg]) == 0
+            assert capsys.readouterr().out.startswith("sampled 48 points")
+
     def test_tfd_estimate(self, capsys, torus_config):
         assert main(["tfd", "--config", torus_config, "--basis", "S",
                      "--n-max", "24"]) == 0
@@ -404,10 +419,16 @@ class TestConfigErrors:
         ("curve-info", {"curve": {"terms": [{"a": 2, "b": 0, "re": "1e400", "im": 0.0},
                                             {"a": 0, "b": 2, "re": -1.0, "im": 0.0}]}},
          "curve term re"),
+        ("curve-info", {"curve": {"terms": [{"a": 10 ** 400, "b": 0, "re": 1.0, "im": 0.0},
+                                            {"a": 0, "b": 2, "re": -1.0, "im": 0.0}]}},
+         "curve term a"),
+        ("cheb --class mv:1", {"n_max": 1e12}, "n_max"),
+        ("sample", {"resolution": 1e12}, "resolution"),
     ], ids=["out-dir-number", "curve-path-number", "curve-file-missing", "document-list",
             "set-r-nan", "set-r-overflow", "point-cloud-path-number", "curve-file-list",
             "curve-file-without-terms", "curve-file-term-without-b", "relaxed-string",
-            "n-max-bool", "solver-tol-bool", "coefficient-nan", "coefficient-overflow"])
+            "n-max-bool", "solver-tol-bool", "coefficient-nan", "coefficient-overflow",
+            "power-huge", "n-max-huge", "resolution-huge"])
     def test_malformed_config_exits_invalid_naming_the_key(self, capsys, tmp_path, command,
                                                            doc, key):
         # the curve files the curve-file cases name
@@ -425,6 +446,21 @@ class TestConfigErrors:
         assert main([*command.split(), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("path, most", [
+        (("n_max",), cli.MAX_N),
+        (("resolution",), cli.MAX_RESOLUTION),
+        (("set", "resolution"), cli.MAX_RESOLUTION),
+        (("curve", "terms", 0, "a"), cli.MAX_POWER),
+    ])
+    def test_counts_have_an_upper_bound(self, tmp_path, path, most):
+        # the bound is read, one above it is refused naming the key
+        doc = json.loads(Path(write_config(tmp_path / "c.json")).read_text())
+        value_at(doc, path[:-1])[path[-1]] = most
+        cli.RunConfig.from_document(doc, tmp_path)
+        value_at(doc, path[:-1])[path[-1]] = most + 1
+        with pytest.raises(cli.ConfigError, match=f"{key_name(path)} must be <= {most}"):
+            cli.RunConfig.from_document(doc, tmp_path)
 
 
 class TestExtremal:

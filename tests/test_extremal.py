@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvecheb import BivarPoly, Z1Disk, sample
-from curvecheb import extremal
+from curvecheb import chebyshev, extremal
 from curvecheb.chebyshev import MQ, SolverOptions, chebyshev_sequence
 from curvecheb.extremal import (
     FAMILY_VK,
@@ -68,13 +68,44 @@ class TestRobinConstants:
     def test_near_equal_constants_order_by_phase(self, aeps, bidisk_set, monkeypatch, t1, t2):
         # Robin constants 1e-12 apart are a tie: swapping them leaves the
         # ordering as the ascending phase of the directions
-        estimates = iter([t1, t2])
-        monkeypatch.setattr(extremal, "chebyshev_sequence", lambda *args: None)
-        monkeypatch.setattr(extremal, "constant_estimate",
-                            lambda seq: SimpleNamespace(estimate=next(estimates), reliable=True))
+        monkeypatch.setattr(extremal, "ordered_constants", lambda *args: [
+            SimpleNamespace(estimate=t, reliable=True) for t in (t1, t2)])
         rep = robin_constants(aeps, bidisk_set, 8, directions=[1.0 + 0j, -1.0 + 0j])
         assert rep.ordering == [0, 1]
         assert rep.strict is False
+
+    @pytest.mark.parametrize("t1, t2", [(0.5, 0.5 * (1 + 1e-12)), (0.5 * (1 + 1e-12), 0.5)])
+    def test_near_equal_directional_constants_order_by_phase(self, hyp, torus_set, monkeypatch,
+                                                             t1, t2):
+        # the same tie through the directional classes: direction 2 (+1,
+        # phase 0) goes before direction 1 (-1, phase pi), whichever
+        # constant is larger
+        top = lambda v: [SimpleNamespace(minimizer=v, norm=1.0)]
+        monkeypatch.setattr(extremal, "directional_constants", lambda *args: [
+            SimpleNamespace(estimate=t, reliable=True, solves=top(v))
+            for t, v in zip((t1, t2), hyp.dirbasis)])
+        rep = robin_constants(hyp, torus_set, 8)
+        assert rep.ordering == [1, 0]
+        assert rep.strict is False
+        # the cross-check reads the top solve: v_k itself has Robin constant 0
+        for e in rep.per_direction:
+            assert e.via == "directClass"
+            assert e.discrepancy == pytest.approx(e.rho, abs=1e-12)
+
+    def test_cross_check_reads_the_directional_solves(self, hyp, torus_set, monkeypatch):
+        # the finite-n Robin constant comes from the top solve of each
+        # directional sequence, with no solve of its own
+        calls = []
+        real = chebyshev.minimax_solve
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["spec"], kwargs["n"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chebyshev, "minimax_solve", counting)
+        rep = robin_constants(hyp, torus_set, 8)
+        assert calls == [(MQ(v), n) for v in hyp.dirbasis for n in range(1, 9)]
+        assert all(e.discrepancy < 1e-9 for e in rep.per_direction)
 
     def test_relaxed_needs_matching_labels(self, aeps, bidisk_set):
         with pytest.raises(ValueError, match="direction labels"):
