@@ -26,9 +26,10 @@ its trace, which keeps it definite where M is singular near the optimum
 (Altman and Gondzio, Optim. Methods Softw. 11, 1999).  Both Newton
 systems of the iteration are solved against that shifted matrix by
 np.linalg.solve; the predictor's right-hand side is -e_t exactly.  Where
-eps cond(M), estimated from its Cholesky pivots, exceeds tol, conjugate
-gradients preconditioned by the same solve refine the step against M
-applied unformed.  The minimizer is f's polynomial plus sum u_i q_i over
+eps cond(M), estimated from its Cholesky pivots, exceeds tol, the step is
+checked against M applied unformed, and where it misses by more than tol,
+conjugate gradients preconditioned by the inverse of the shifted matrix
+refine it.  The minimizer is f's polynomial plus sum u_i q_i over
 the column polynomials, built when first read.
 
 Every iterate's max modulus is an upper bound.  The certificate is a lower
@@ -61,6 +62,7 @@ from .polyring import (
     parent_rule,
     pow_mod,
 )
+from .sets import SampleTooSmall
 
 
 class ClassSpecError(ValueError):
@@ -253,10 +255,16 @@ class SolverOptions:
     tol: float = 1e-8
 
     def validated(self):
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
+        """self, or a ValueError naming the first bad field.  A bool is
+        neither a count nor a tolerance, though Python counts it as both."""
+        max_iter, tol = self.max_iter, self.tol
+        if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral)
+                                               and max_iter >= 1):
+            raise ValueError(f"max_iter must be a positive integer, not {max_iter!r}")
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValueError(f"tol must be a number, not {tol!r}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be positive and finite, not {tol!r}")
         return self
 
 
@@ -323,11 +331,6 @@ STEP = 0.99             # fraction of the step to the cone boundary taken
 SINGULAR_RATIO = 1e-14  # norm kept by projection at or below which a column is dropped
 
 
-def _dot(u0, u1, v0, v1):
-    """Inner product of two cone vectors."""
-    return float(np.dot(u0, v0) + np.vdot(u1, v1).real)
-
-
 class _NTScaling:
     """Nesterov-Todd scaling W of an interior pair (s, z), given |s1| and |z1|.
 
@@ -340,12 +343,15 @@ class _NTScaling:
     def __init__(self, s0, s1, z0, z1, s1_abs, z1_abs):
         # sqrt(u0^2 - |u1|^2) per point, factored to avoid cancellation
         sn, zn = np.sqrt((s0 - s1_abs) * (s0 + s1_abs)), np.sqrt((z0 - z1_abs) * (z0 + z1_abs))
-        gamma = np.sqrt(0.5 * (1.0 + (s0 * z0 + (s1.conj() * z1).real) / (sn * zn)))
-        self.w0 = (s0 / sn + z0 / zn) / (2.0 * gamma)
-        self.w1 = (s1 / sn - z1 / zn) / (2.0 * gamma)
+        isn, izn = 1.0 / sn, 1.0 / zn
+        gamma = np.sqrt(0.5 * (1.0 + (s0 * z0 + (s1.conj() * z1).real) * isn * izn))
+        half = 0.5 / gamma
+        self.w0 = (s0 * isn + z0 * izn) * half
+        self.w1 = (s1 * isn - z1 * izn) * half
         self.w1c, self.w0p = self.w1.conj(), 1.0 / (1.0 + self.w0)
-        self.beta = np.sqrt(sn / zn)
-        self.d = self.beta ** -2        # the scale of W^-2
+        self.d = zn * isn               # D = beta^-2, the scale of W^-2
+        self.rd = np.sqrt(self.d)       # 1 / beta
+        self.beta = np.sqrt(sn * izn)
         self.lam = self.apply(z0, z1)
         self.lam_jnorm2 = sn * zn
 
@@ -356,8 +362,8 @@ class _NTScaling:
 
     def inverse(self, u0, u1):
         d = (self.w1c * u1).real
-        return ((self.w0 * u0 - d) / self.beta,
-                (u1 + (d * self.w0p - u0) * self.w1) / self.beta)
+        return (self.rd * (self.w0 * u0 - d),
+                self.rd * (u1 + (d * self.w0p - u0) * self.w1))
 
     @cached_property
     def _eigenvectors(self):
@@ -385,14 +391,28 @@ def _max_step(lam0, lam1, lam_jnorm2, d0, d1):
     """Largest a with lam + a d inside every cone for every row d of (d0, d1), or inf.
 
     Per point the boundary is the first positive root of
-    lam_jnorm2 + 2 b a + q a^2, with b = lam^T J d and q = d^T J d.
+    lam_jnorm2 + 2 b a + q a^2, with b = lam^T J d and q = d^T J d, at
+    a = lam_jnorm2 / (sqrt(disc) - b), disc = b^2 - q lam_jnorm2.  As lam
+    is inside its cone, disc >= 0 (the reverse Cauchy-Schwarz inequality
+    where q > 0), and a point with q >= 0 and b >= 0 has roots a <= 0 only,
+    where sqrt(disc) - b <= 0: so 1 / a is the largest
+    (sqrt(disc) - b) / lam_jnorm2, and no cone is hit where that is not
+    positive.  disc is 0 where d is parallel to lam and rounds to either
+    sign there, hence its modulus.
     """
-    q = d0 * d0 - np.abs(d1) ** 2
+    q = d0 * d0 - (d1 * d1.conj()).real
     b = lam0 * d0 - (lam1.conj() * d1).real
     disc = b * b - q * lam_jnorm2
-    hits = (disc >= 0.0) & ((b < 0.0) | (q < 0.0))
-    return float(np.min(np.divide(lam_jnorm2, np.sqrt(np.maximum(disc, 0.0)) - b,
-                                  out=np.full(hits.shape, np.inf), where=hits)))
+    inv = float(((np.sqrt(np.abs(disc)) - b) / lam_jnorm2).max())
+    return 1.0 / inv if inv > 0.0 else np.inf
+
+
+def _rho(lam2, ds_dz, alpha):
+    """<lam + alpha ds, lam + alpha dz> / <lam, lam> after the predictor
+    step alpha, from lam2 = <lam, lam> and ds_dz = <ds, dz>, where
+    ds = W^-1 ds_a and dz = W dz_a are its scaled steps: as ds + dz = -lam,
+    it is (1 - alpha) + alpha^2 <ds, dz> / <lam, lam>."""
+    return (1.0 - alpha) + alpha * alpha * ds_dz / lam2
 
 
 def _gram(X):
@@ -428,7 +448,7 @@ def _normal_inverse(G, W):
     # one (points x 2m) temporary at a time, each freed as _gram returns:
     # two alive at once make the allocator hand their pages back to the
     # system and fault them in again at the next step
-    P = _gram(np.sqrt(d)[:, None] * G)
+    P = _gram(W.rd[:, None] * G)
     C = _gram((np.sqrt(2.0 * d) * W.w1c)[:, None] * G)
     diag, skew = P[:, 0, :, 0] + P[:, 1, :, 1], P[:, 1, :, 0] - P[:, 0, :, 1]
     C[:, 0, :, 0] += diag
@@ -446,18 +466,16 @@ def _normal_inverse(G, W):
     return M, EPS * (pivots.max() / pivots.min()) ** 2
 
 
-def _cg(product, Ms, b, x, tol):
+def _cg(product, Ms, b, x, r, tol):
     """x with product(x) = M x = b by conjugate gradients preconditioned
-    with Ms^-1, Ms close to M, from x, until the residual is at most
-    tol |b| or after len(b) steps.  Returns the start instead if its
-    residual b - M x is the smaller one, as where M is too ill-conditioned
-    for the recurrence."""
-    x0, r = x, b - product(x)
-    res0, bound, p, rz = np.linalg.norm(r), tol * np.linalg.norm(b), 0.0, 1.0
-    if not res0 > bound:
-        return x0
+    with Ms^-1, Ms close to M and inverted once, from x with residual
+    r = b - M x, until the residual is at most tol |b| or after len(b)
+    steps.  Returns the start instead if its residual is the smaller one,
+    as where M is too ill-conditioned for the recurrence."""
+    x0, res0, bound = x, np.linalg.norm(r), tol * np.linalg.norm(b)
+    Mi, p, rz = np.linalg.inv(Ms), 0.0, 1.0
     for _ in range(len(b)):
-        z = np.linalg.solve(Ms, r)
+        z = Mi @ r
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
         q = product(p)
@@ -498,7 +516,7 @@ def _minimax(G, f, opts):
         # stop where rounding takes over: s or z on the boundary, or, as
         # max |f| = 1, an upper bound t at the level of f's rounding error
         r_abs, z1_abs = np.abs(r), np.abs(z1)
-        if not (t > EPS and t - np.max(r_abs) > 0.0 and np.min(z0 - z1_abs) > 0.0):
+        if not (t > EPS and t - r_abs.max() > 0.0 and (z0 - z1_abs).min() > 0.0):
             break
         iterations += 1
         W = _NTScaling(t, r, z0, z1, r_abs, z1_abs)
@@ -506,28 +524,32 @@ def _minimax(G, f, opts):
         # every Newton system M x = rhs is solved against M shifted by
         # eps trace(M).  Near a degenerate optimum M has eigenvalues below
         # its own rounding, and x can miss M x = rhs by up to eps cond(M);
-        # past tol, conjugate gradients on M applied unformed, through W^-2
-        # on its eigenvectors, refine it
+        # past tol, x is checked against M applied unformed, through W^-2
+        # on its eigenvectors, and refined by conjugate gradients where it
+        # misses by more than tol
         Ms, err = _normal_inverse(G, W)
 
-        def normal_product(x):
-            """M x, with W^-2 applied on its eigenvectors."""
-            v0, v1 = W.inverse_square(x[0], G @ x[1:].view(complex))
-            return np.concatenate([[np.sum(v0)], (GH @ v1).view(float)])
+        def normal_product(dt, gdc):
+            """M (dt, dc) from dt and G dc, with W^-2 applied on its eigenvectors."""
+            v0, v1 = W.inverse_square(dt, gdc)
+            return np.concatenate([[v0.sum()], (GH @ v1).view(float)])
 
         def newton(rhs, u0, u1):
             """Steps (dt, dc, G dc) and the scaled steps W^-1 ds and W dz,
             stacked as the rows of d0 and d1, with W dz + W^-1 ds = u and
             M (dt, dc) = rhs, the right-hand side that u gives."""
             dx = np.linalg.solve(Ms, rhs)
+            gdc = G @ dx[1:].view(complex)
             if err > tol:
-                dx = _cg(normal_product, Ms, rhs, dx, tol)
-            dc = dx[1:].view(complex)
-            gdc = G @ dc
+                res = rhs - normal_product(dx[0], gdc)
+                if np.linalg.norm(res) > tol * np.linalg.norm(rhs):
+                    dx = _cg(lambda x: normal_product(x[0], G @ x[1:].view(complex)),
+                             Ms, rhs, dx, res, tol)
+                    gdc = G @ dx[1:].view(complex)
             d0, d1 = np.empty((2, npts)), np.empty((2, npts), dtype=complex)
             d0[0], d1[0] = W.inverse(dx[0], gdc)
             d0[1], d1[1] = u0 - d0[0], u1 - d1[0]
-            return dx[0], dc, gdc, d0, d1
+            return dx[0], dx[1:].view(complex), gdc, d0, d1
 
         # predictor (affine scaling): lam o (W dz + W^-1 ds) = -lam o lam.
         # Its right-hand side A^T W^-1 u - (A^T z - e_t) is -e_t exactly, as
@@ -536,21 +558,21 @@ def _minimax(G, f, opts):
         rhs[0] = -1.0
         _, _, _, d0, d1 = newton(rhs, -lam0, -lam1)
         alpha = min(1.0, _max_step(lam0, lam1, W.lam_jnorm2, d0, d1))
-        mu = _dot(lam0, lam1, lam0, lam1) / npts
         (as0, az0), (as1, az1) = d0, d1
-        rho = _dot(lam0 + alpha * as0, lam1 + alpha * as1,
-                   lam0 + alpha * az0, lam1 + alpha * az1) / (mu * npts)
-        target = min(max(rho, 0.0), 1.0) ** 3 * mu
+        # first coordinates of lam o lam and (W^-1 ds_a) o (W dz_a)
+        lam_lam = lam0 * lam0 + (lam1 * lam1.conj()).real
+        ds_dz = as0 * az0 + (as1.conj() * az1).real
+        lam2 = lam_lam.sum()
+        target = min(max(_rho(lam2, ds_dz.sum(), alpha), 0.0), 1.0) ** 3 * lam2 / npts
 
         # corrector: lam o u = -lam o lam - (W^-1 ds_a) o (W dz_a) + target e
-        e0 = (target - lam0 * lam0 - np.abs(lam1) ** 2
-              - as0 * az0 - (as1.conj() * az1).real)
+        e0 = target - lam_lam - ds_dz
         e1 = -2.0 * lam0 * lam1 - as0 * az1 - az0 * as1
         u0 = (lam0 * e0 - (lam1.conj() * e1).real) / W.lam_jnorm2
         u1 = (e1 - u0 * lam1) / lam0
         # right-hand side A^T (W^-1 u + z) - e_t
         v0, v1 = W.inverse(u0, u1)
-        rhs = np.concatenate([[np.sum(v0 + z0) - 1.0], (GH @ (v1 + z1)).view(float)])
+        rhs = np.concatenate([[(v0 + z0).sum() - 1.0], (GH @ (v1 + z1)).view(float)])
         dt, dc, gdc, d0, d1 = newton(rhs, u0, u1)
         alpha = min(1.0, STEP * _max_step(lam0, lam1, W.lam_jnorm2, d0, d1))
         if not alpha > 0.0:
@@ -563,10 +585,10 @@ def _minimax(G, f, opts):
         r = r + alpha * gdc
         dz0, dz1 = W.inverse(d0[1], d1[1])
         z0, z1 = z0 + alpha * dz0, z1 + alpha * dz1
-        ub = float(np.max(np.abs(f + G @ c)))
+        ub = float(np.abs(f + G @ c).max())
         if ub < best_ub:
             best_c, best_ub = c, ub
-        gap = t * float(np.sum(z0)) + float(np.vdot(r, z1).real)
+        gap = t * float(z0.sum()) + float(np.vdot(r, z1).real)
         stalled = False
         if gap <= tol * t:
             # dual bound: with y = z1 projected twice onto null(G^H),
@@ -574,7 +596,7 @@ def _minimax(G, f, opts):
             # every max |f + G c|
             y = z1 - G @ (GH @ z1) / npts
             y = y - G @ (GH @ y) / npts
-            y1 = float(np.sum(np.abs(y)))
+            y1 = float(np.abs(y).sum())
             lby = float(abs(np.vdot(y, f))) / y1 if y1 > 0.0 else 0.0
             stalled = lby <= lb
             lb = max(lb, lby)
@@ -677,7 +699,7 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n
     opts = (opts or SolverOptions()).validated()
     npts, m = len(K.points), len(free_basis)
     if m > npts:
-        raise ValueError(f"free basis ({m}) must not exceed the sample ({npts})")
+        raise SampleTooSmall(f"free basis ({m}) must not exceed the sample ({npts})")
 
     basis_id = free_basis[0].basis_id if free_basis else BASIS_S
     if [(el.basis_id, el.index) for el in free_basis] != [(basis_id, i + 1) for i in range(m)]:

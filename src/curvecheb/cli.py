@@ -24,6 +24,7 @@ from .sets import (
     AbsV1V2Torus,
     BidiskTrace,
     PointCloud,
+    SampleTooSmall,
     SamplingError,
     Z1Disk,
     Z2Interval,
@@ -554,6 +555,15 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(cfg, out, args.tolerance_scale, args.allow_unconverged)
         raise ConfigError(f"unknown command {args.command!r}")
+    except SampleTooSmall as exc:   # a degree beyond what the sample carries
+        n = f"--n {args.n}" if getattr(args, "n", None) is not None else f"n_max {cfg.n_max}"
+        if cfg.set_spec["kind"] == "pointcloud":
+            where, fix = "the point cloud", "lower it"
+        else:
+            where = f"the sample at resolution {cfg.set_spec['resolution'] or cfg.resolution}"
+            fix = "lower it or raise resolution"
+        print(f"error: {n} is too high for {where} ({exc}): {fix}", file=sys.stderr)
+        return EXIT_INVALID
     except (np.linalg.LinAlgError, RuntimeError, OverflowError) as exc:  # not invalid input
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

@@ -30,6 +30,10 @@ class SamplingError(ValueError):
     pass
 
 
+class SampleTooSmall(ValueError):
+    """A problem needs more points than its sampled set has."""
+
+
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------

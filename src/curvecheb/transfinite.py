@@ -26,6 +26,7 @@ import numpy as np
 
 from .polyring import basis_enumerate, basis_through_degree, parent_rule
 from .chebyshev import LIMIT_SLACK, Tau, basis_values
+from .sets import SampleTooSmall
 
 NEG_INF = float("-inf")
 
@@ -105,7 +106,7 @@ def leja_extend(run, count):
     n_cand = len(run.candidates.points)
     target = len(run.selected) + count
     if target > n_cand:
-        raise ValueError("candidate set exhausted")
+        raise SampleTooSmall("candidate set exhausted")
     if target > len(run._elems):
         run._elems = basis_enumerate(run.curve, run.basis_id, target)
     for step in range(len(run.selected), target):
@@ -157,7 +158,7 @@ def transfinite_diameter(curve, K, basis_id, n_max, run=None):
     elems = basis_through_degree(curve, basis_id, n_max)
     m_n = len(elems)
     if m_n > len(K.points):
-        raise ValueError(
+        raise SampleTooSmall(
             f"candidate set has {len(K.points)} points, need {m_n} for degree {n_max}"
         )
     if run is None:

@@ -373,7 +373,7 @@ class TestNewtonFactor:
         b = product(Q @ rng.normal(size=9))
         clipped = np.linalg.solve(Ms, b)
         assert np.linalg.norm(b - product(clipped)) > 1e-7 * np.linalg.norm(b)
-        x = chebyshev._cg(product, Ms, b, clipped, 1e-8)
+        x = chebyshev._cg(product, Ms, b, clipped, b - product(clipped), 1e-8)
         assert np.linalg.norm(b - product(x)) <= 1e-8 * np.linalg.norm(b)
 
     def test_conjugate_gradients_never_raise_the_residual(self):
@@ -382,7 +382,7 @@ class TestNewtonFactor:
         product, Ms, Q, rng = self._inexact_system(1e-16, 1e-6)
         b = Q @ rng.normal(size=9)
         clipped = np.linalg.solve(Ms, b)
-        x = chebyshev._cg(product, Ms, b, clipped, 1e-8)
+        x = chebyshev._cg(product, Ms, b, clipped, b - product(clipped), 1e-8)
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(b - product(x)) <= np.linalg.norm(b - product(clipped))
 
@@ -417,6 +417,69 @@ class TestNewtonFactor:
             assert np.min(margins) <= 1e-9
             assert np.all(self._cone_margins(lam0, lam1, 0.5 * a, d0, d1) > 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 2),
+           st.sets(st.sampled_from(["outside", "inward", "outward", "parallel"]), min_size=1))
+    def test_max_step_on_every_kind_of_direction(self, seed, npts, rows, kinds):
+        # per point d is outside the cone (q < 0), inside the negative cone
+        # (q >= 0, b < 0), inside the cone (q >= 0, b >= 0) or parallel to
+        # lam, where disc = b^2 - q lam_jnorm2 is 0 and rounds to either
+        # sign: inward there, the cone is hit at its apex
+        rng = np.random.default_rng(seed)
+        lam1 = rng.normal(size=npts) + 1j * rng.normal(size=npts)
+        lam0 = np.abs(lam1) * (1.0 + rng.random(npts)) + 1e-3
+        d1 = rng.normal(size=(rows, npts)) + 1j * rng.normal(size=(rows, npts))
+        cone = np.abs(d1) * (1.0 + rng.random((rows, npts))) + 1e-3
+        kappa = rng.uniform(0.1, 3.0, (rows, npts)) * rng.choice([-1.0, 1.0], (rows, npts))
+        kind = rng.choice(sorted(kinds), (rows, npts))
+        d0 = np.select([kind == "outside", kind == "inward", kind == "outward"],
+                       [rng.uniform(-1.0, 1.0, (rows, npts)) * np.abs(d1), -cone, cone],
+                       kappa * lam0)
+        d1 = np.where(kind == "parallel", kappa * lam1,
+                      np.where(kind == "inward", -d1, d1))
+        jnorm = (lam0 - np.abs(lam1)) * (lam0 + np.abs(lam1))
+        q = d0 * d0 - np.abs(d1) ** 2
+        b = lam0 * d0 - (lam1.conj() * d1).real
+        assert np.all((q < 0.0) == (kind == "outside"))
+        assert np.all((b < 0.0)[kind == "inward"])
+
+        def margins(a):
+            """u0 - |u1| for u = lam + a d, relative to the size of lam and a d."""
+            u0, u1 = lam0 + a * d0, lam1 + a * d1
+            scale = lam0 + np.abs(lam1) + a * (np.abs(d0) + np.abs(d1))
+            return (u0 - np.abs(u1)) / scale
+
+        a = chebyshev._max_step(lam0, lam1, jnorm, d0, d1)
+        assert a > 0.0
+        if np.isinf(a):
+            # no point moves toward its boundary
+            assert np.all(np.isin(kind, ["outward", "parallel"]))
+            assert np.all(kappa[kind == "parallel"] > 0.0)
+            for big in (1.0, 1e3, 1e6):
+                assert np.all(margins(big) > -1e-12)
+        else:
+            # on a boundary: strictly inside just before a and outside just
+            # after; a double root (d parallel to lam) is found to about
+            # sqrt(eps) only
+            assert np.all(margins(0.999 * a) > 0.0)
+            assert np.min(margins(1.001 * a)) < 0.0
+            assert np.all(margins(a) >= -1e-7) and np.min(margins(a)) <= 1e-7
+
+    def test_rho_is_the_four_vector_form(self):
+        # the scaled predictor steps sum to -lam, as newton returns them
+        rng = np.random.default_rng(8)
+        for npts in (1, 30, 1023):
+            lam1 = rng.normal(size=npts) + 1j * rng.normal(size=npts)
+            lam0 = np.abs(lam1) * (1.0 + rng.random(npts)) + 1e-3
+            ds0, ds1 = rng.normal(size=npts), rng.normal(size=npts) + 1j * rng.normal(size=npts)
+            dz0, dz1 = -lam0 - ds0, -lam1 - ds1
+            lam2 = lam0 @ lam0 + np.vdot(lam1, lam1).real
+            for alpha in (0.0, 0.3, 0.9, 1.0):
+                four = ((lam0 + alpha * ds0) @ (lam0 + alpha * dz0)
+                        + np.vdot(lam1 + alpha * ds1, lam1 + alpha * dz1).real) / lam2
+                one = chebyshev._rho(lam2, ds0 @ dz0 + np.vdot(ds1, dz1).real, alpha)
+                assert abs(one - four) <= 1e-12 * abs(four)
+
     def test_max_step_is_inf_when_no_cone_is_hit(self):
         rng = np.random.default_rng(7)
         lam1 = rng.normal(size=20) + 1j * rng.normal(size=20)
@@ -443,6 +506,20 @@ class TestNewtonFactor:
     def test_bad_solver_options_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs).validated()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": True}, {"max_iter": False}, {"max_iter": "300"}, {"tol": True},
+        {"tol": "1e-8"}, {"tol": None},
+    ])
+    def test_bool_or_non_number_solver_option_names_the_field(self, kwargs):
+        # Python counts True as 1, but a bool is neither a count nor a tolerance
+        (field, _), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverOptions(**kwargs).validated()
+
+    def test_numpy_scalar_solver_options_accepted(self):
+        opts = SolverOptions(max_iter=np.int64(300), tol=np.float64(1e-9))
+        assert opts.validated() is opts
 
 
 def _solve_fg(f, G, opts=None):

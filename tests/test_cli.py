@@ -130,6 +130,13 @@ class TestCheb:
         assert rc == 2
         assert "must not exceed the sample" in capsys.readouterr().err
 
+    def test_n_max_beyond_the_sample_names_n_max_and_resolution(self, capsys, torus_config):
+        assert main(["cheb", "--config", torus_config, "--class", "mv:1",
+                     "--resolution", "16", "--n-max", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "n_max 1000 is too high for the sample at resolution 16" in err
+        assert "free basis (17) must not exceed the sample (16)" in err
+
     def test_unconverged_exit(self, tmp_path):
         # one-iteration cap cannot reach the tolerance on the interval set
         cfg = write_config(tmp_path / "hard.json",
@@ -242,6 +249,22 @@ class TestSampleAndTfd:
         est = float(out.rsplit("estimate", 1)[1])
         assert abs(est - 0.5) / 0.5 < 0.15
 
+    def test_n_max_beyond_the_sample_names_n_max_and_resolution(self, capsys, torus_config):
+        assert main(["tfd", "--config", torus_config, "--resolution", "16",
+                     "--n-max", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "n_max 1000 is too high for the sample at resolution 16" in err
+        assert "need 2001 for degree 1000" in err
+
+    def test_degree_beyond_a_point_cloud_names_the_cloud(self, capsys, tmp_path):
+        (tmp_path / "cloud.txt").write_text(
+            "".join(f"{np.cosh(t):.17g} 0 {np.sinh(t):.17g} 0\n"
+                    for t in np.linspace(-1.5, 1.5, 8)))
+        cfg = write_config(tmp_path / "cloud.json", set={"kind": "pointcloud", "path": "cloud.txt"})
+        assert main(["tfd", "--config", cfg, "--n-max", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "n_max 4 is too high for the point cloud" in err and "resolution" not in err
+
     def test_huge_disk_radius_is_numerical_failure(self, capsys, tmp_path):
         # a valid radius whose lifting tolerance overflows a float
         cfg = write_config(tmp_path / "disk.json", set={"kind": "z1disk", "r": 1e300})
@@ -303,6 +326,12 @@ class TestVerify:
     def test_zero_tolerance_negative_control(self, tmp_path, torus_config):
         assert main(["verify", "--config", torus_config, "--n-max", "6",
                      "--tolerance-scale", "0"]) == 1
+
+    def test_n_max_beyond_the_sample_names_n_max_and_resolution(self, capsys, torus_config):
+        assert main(["verify", "--config", torus_config, "--resolution", "16",
+                     "--n-max", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "n_max 1000 is too high for the sample at resolution 16" in err
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
     def test_nonsensical_tolerance_scale_is_invalid(self, capsys, torus_config, scale):
