@@ -98,20 +98,32 @@ def _canonical_scale(p):
 
 
 class _Product:
-    """Leading term NF(R Q^n), the S basis below its degree free.  A class
+    """Leading term NF(R Q^n), the S basis below deg R + n deg Q free.  A class
     of this kind gives its prefactor R, which needs no curve, and
     base(curve) -> Q, checking its indices (by default its own q)."""
 
     def base(self, curve):
         return self.q
 
+    def degree(self, curve, n):
+        """deg R + n deg Q, the degree of the leading term."""
+        return int(self.prefactor.degree + n * self.base(curve).degree)
+
     def parametrize(self, curve, n):
         q = self.base(curve)
         leading = normal_form(curve, self.prefactor * pow_mod(curve, q, n))
+        if leading.degree != self.degree(curve, n):
+            # NF(R Q^n) loses degree exactly when the leading form of P
+            # divides R Q^n, or here its top terms fell to PRUNE_REL, as a
+            # high power's can.  A linear factor of that form has multiplicity
+            # at most d, so past n = d the first holds at n when it holds at d
+            low = min(n, curve.d)
+            low_form = leading if low == n else normal_form(
+                curve, self.prefactor * pow_mod(curve, q, low))
+            if low_form.degree != self.degree(curve, low):
+                raise ClassSpecError("leading term loses degree in the coordinate ring")
         # leading_residual projects R Q^i off degree < deg R + i deg Q
-        if leading.degree != self.prefactor.degree + n * q.degree:
-            raise ClassSpecError("leading term loses degree in the coordinate ring")
-        return leading, basis_through_degree(curve, BASIS_S, int(leading.degree) - 1)
+        return leading, basis_through_degree(curve, BASIS_S, self.degree(curve, n) - 1)
 
     def leading_residual(self, curve, n, K):
         """(values on K, polynomial) of R Q^n projected off the S basis below
@@ -124,6 +136,10 @@ class _Position:
     """Leading term the index-th element of basis B, the elements before it
     free.  A class of this kind gives position(curve, n) -> (B, index),
     checking its indices."""
+
+    def degree(self, curve, n):
+        """The degree of the element."""
+        return basis_enumerate(curve, *self.position(curve, n))[-1].degree
 
     def parametrize(self, curve, n):
         *free, el = basis_enumerate(curve, *self.position(curve, n))
@@ -693,8 +709,9 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n
     """Chebyshev polynomial of the affine family leading + span(free_basis).
 
     leading is a BivarPoly in normal form; free_basis a graded basis prefix.
-    The leading residual is the class spec's at parameter n, or without a
-    spec leading projected.  The ChebSolve's tn is norm ** (1/total_degree).
+    The leading residual and total degree are the class spec's at parameter
+    n, or without a spec leading projected and its degree.  The ChebSolve's
+    tn is norm ** (1/total_degree).
     """
     opts = (opts or SolverOptions()).validated()
     npts, m = len(K.points), len(free_basis)
@@ -715,7 +732,7 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n
     u, norm, lb, iterations, converged = _minimax(Q * rms, fp / fscale, opts)
     norm, lb = norm * fscale, lb * fscale
 
-    total_degree = int(leading.degree)
+    total_degree = int(leading.degree) if spec is None else spec.degree(curve, n)
     tn = norm ** (1.0 / total_degree) if total_degree > 0 else float("nan")
     return ChebSolve(spec=spec, n=n if n is not None else 0, total_degree=total_degree,
                      norm=norm, tn=tn, iterations=iterations, converged=converged,

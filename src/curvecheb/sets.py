@@ -144,9 +144,13 @@ class SampledSet:
 def _dedupe(points):
     """The rows of points (N x 2) without repeats, which are rows equal
     after rounding the real and imaginary parts to 12 decimals; the first
-    occurrences keep their order."""
+    occurrences keep their order.  Each row's key is its four rounded
+    parts as one byte string, -0.0 made 0.0 so that equal parts have equal
+    bytes."""
     key = np.round(np.concatenate([points.real, points.imag], axis=1), 12)
-    _, first = np.unique(key, axis=0, return_index=True)
+    key += 0.0
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
     return points[np.sort(first)]
 
 

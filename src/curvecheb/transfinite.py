@@ -68,31 +68,50 @@ class LejaRun:
     increments: list = field(default_factory=list)
     diam_estimates: list = field(default_factory=list)  # (degree, estimate)
     _elems: list = field(default_factory=list, repr=False)
-    _W: list = field(default_factory=list, repr=False)       # remainder columns
-    _pivots: list = field(default_factory=list, repr=False)  # (row, value)
+    # remainder column of step k in row k, zero at the rows picked before k
+    _W: np.ndarray = field(default=None, repr=False)
     _step_of: dict = field(default_factory=dict, repr=False)  # shape -> step
-    _gens: dict = field(default_factory=dict, repr=False)     # generator values
-    _used: np.ndarray = field(default=None, repr=False)
+    # generator values by the generator's id: the generators are module
+    # constants or the curve's own polynomials, alive while the run is
+    _gens: dict = field(default_factory=dict, repr=False)
+    _degree_sum: int = field(default=0, repr=False)           # of the picked elements
 
-    def _new_column(self, el):
+    def _new_column(self, el, step):
+        """Row `step` of the store: el's generator times its parent's column,
+        eliminated against the steps since the parent.  The pick rows of
+        those steps carry a lower-triangular block whose diagonal is their
+        pivots; forward substitution on it gives the coefficients of all
+        the steps at once, and one product with their rows applies them."""
+        col = self._W[step]
         rule = parent_rule(self.curve, el.shape)
         if rule is None:
-            return np.ones(len(self.candidates.points), dtype=complex)
+            col[:] = 1.0
+            return col
         parent_shape, gen = rule
-        if gen not in self._gens:
-            self._gens[gen] = gen(self.candidates.z1, self.candidates.z2)
+        values = self._gens.get(id(gen))
+        if values is None:
+            values = self._gens[id(gen)] = gen(self.candidates.z1, self.candidates.z2)
         src = self._step_of[parent_shape]
-        col = self._gens[gen] * self._W[src]
-        for k in range(src, len(self._W)):
-            i_k, p_k = self._pivots[k]
-            col = col - self._W[k] * (col[i_k] / p_k)
+        np.multiply(values, self._W[src], out=col)
+        rows = self.selected[src:step]
+        block = self._W[src:step]
+        L = block[:, rows].tolist()     # L[j][k]: column src + j at the pick of src + k
+        coef = col[rows].tolist()
+        for k in range(len(coef)):
+            ck = coef[k]
+            for j in range(k):
+                ck -= L[j][k] * coef[j]
+            coef[k] = ck / L[k][k]
+        col -= np.array(coef) @ block
+        # the rows picked before the parent are zero in the parent's column and
+        # in the block, so they stay zero; zero those picked since
+        col[rows] = 0.0
         return col
 
 
 def leja_start(curve, K, basis_id):
-    run = LejaRun(curve=curve, basis_id=basis_id, candidates=K)
-    run._used = np.zeros(len(K.points), dtype=bool)
-    return run
+    return LejaRun(curve=curve, basis_id=basis_id, candidates=K,
+                   _W=np.empty((0, len(K.points)), dtype=complex))
 
 
 def leja_extend(run, count):
@@ -104,37 +123,38 @@ def leja_extend(run, count):
     if every remaining candidate yields a singular configuration.
     """
     n_cand = len(run.candidates.points)
-    target = len(run.selected) + count
+    done = len(run.selected)
+    target = done + count
     if target > n_cand:
         raise SampleTooSmall("candidate set exhausted")
     if target > len(run._elems):
         run._elems = basis_enumerate(run.curve, run.basis_id, target)
-    for step in range(len(run.selected), target):
-        el = run._elems[step]
-        col = run._new_column(el)
+    if target > len(run._W):
+        store = np.empty((target, n_cand), dtype=complex)
+        store[:done] = run._W[:done]
+        run._W = store
+    scores = np.empty(n_cand)
+    elems = run._elems
+    for step in range(done, target):
+        el = elems[step]
+        col = run._new_column(el, step)
         run._step_of[el.shape] = step
-        scores = np.where(run._used, 0.0, np.abs(col))
+        np.abs(col, out=scores)
         best = scores.max()
         if best == 0.0:
             raise RuntimeError("degenerate candidate set")
-        i = int(np.argmax(scores >= best * (1.0 - LEJA_TIE_REL)))
-        piv = col[i]
-        run._W.append(col)
-        run._pivots.append((i, piv))
-        run._used[i] = True
+        i = int((scores >= best * (1.0 - LEJA_TIE_REL)).argmax())
         run.selected.append(i)
         run.points.append(tuple(run.candidates.points[i]))
-        inc = float(np.log(np.abs(piv)))
+        inc = float(np.log(scores[i]))
         run.increments.append(inc)
         run.log_vdm.append((run.log_vdm[-1] if run.log_vdm else 0.0) + inc)
+        run._degree_sum += el.degree
         # diameter estimate at completed degree blocks
         m = step + 1
-        elems = run._elems
-        if m == len(elems) or elems[m].degree > elems[m - 1].degree:
-            degree = elems[m - 1].degree
-            if degree >= 1:
-                l_n = sum(e.degree for e in elems[:m])
-                run.diam_estimates.append((degree, float(np.exp(run.log_vdm[-1] / l_n))))
+        if el.degree >= 1 and (m == len(elems) or elems[m].degree > el.degree):
+            run.diam_estimates.append(
+                (el.degree, float(np.exp(run.log_vdm[-1] / run._degree_sum))))
     return run
 
 

@@ -64,6 +64,20 @@ class TestClassParametrize:
         with pytest.raises(ClassSpecError, match="loses degree"):
             class_parametrize(hyp, MRQ(hyp.dirbasis[1], hyp.dirbasis[0]), 2)
 
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_degree_losing_product_refused_past_d(self, hyp, n):
+        # past n = d the loss is decided at n = d, where no term is pruned
+        with pytest.raises(ClassSpecError, match="loses degree"):
+            class_parametrize(hyp, MRQ(hyp.dirbasis[1], hyp.dirbasis[0]), n)
+
+    @pytest.mark.parametrize("n", [178, 180, 200, 300])
+    def test_high_power_keeps_its_degree(self, hyp, n):
+        # PRUNE_REL drops the top terms of NF(v1^n) from n = 178 on, yet the
+        # class stays valid: its free basis is the S basis below degree n
+        _, free = class_parametrize(hyp, MQ(hyp.dirbasis[0]), n)
+        assert free == basis_through_degree(hyp, BASIS_S, n - 1)
+        assert MQ(hyp.dirbasis[0]).degree(hyp, n) == n
+
     def test_c_classes_refused_on_relaxed_curve(self, aeps):
         with pytest.raises(Exception, match="relaxed"):
             class_parametrize(aeps, Mz1jVk(0, 1), 2)

@@ -120,6 +120,18 @@ class TestSampling:
         out = sets._dedupe(pts)
         assert np.array_equal(out, pts[[0, 1, 3, 4]])
 
+    def test_dedupe_signed_zeros_are_one_key(self):
+        # -0.0 and 0.0 round to equal parts, so their rows are repeats
+        pts = np.array([
+            [complex(1.0, 0.0), complex(-0.0, 0.5)],
+            [complex(1.0, -0.0), complex(0.0, 0.5)],
+            [complex(-0.0, -0.0), complex(0.25, -0.0)],
+            [complex(0.0, 0.0), complex(0.25, 0.0)],
+            [complex(-1e-14, 0.0), complex(0.25, 1e-14)],
+        ])
+        out = sets._dedupe(pts)
+        assert out.tobytes() == pts[[0, 2]].tobytes()
+
     def test_dedupe_matches_the_loop_reference(self, torus_set_small):
         def reference(points):
             seen, out = set(), []

@@ -3,11 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvecheb import Z1Disk, sample
+from curvecheb import AbsV1V2Torus, Z1Disk, sample
 from curvecheb.gallery import random_valid_curve
-from curvecheb.polyring import BASIS_C, BASIS_S, BivarPoly, curve_new, leading_part
+from curvecheb.polyring import (
+    BASIS_C,
+    BASIS_S,
+    BivarPoly,
+    basis_enumerate,
+    curve_new,
+    leading_part,
+    parent_rule,
+)
 from curvecheb.chebyshev import tau_sequence
 from curvecheb.transfinite import (
+    LEJA_TIE_REL,
     block_counts,
     leja_extend,
     leja_start,
@@ -128,6 +137,86 @@ class TestLeja:
             _, run = transfinite_diameter(hyp, K, BASIS_S, 12)
             ests = dict(run.diam_estimates)
             assert abs(ests[12] - ests[11]) / ests[12] < 0.10
+
+
+def sequential_leja(curve, K, basis_id, count):
+    """(picks, increments, block estimates) of the greedy run, each column
+    eliminated one step at a time: against each step since its parent,
+    subtract that step's column times the current entry at its pick over
+    its pivot.  The reference for leja_extend's blocked elimination."""
+    elems = basis_enumerate(curve, basis_id, count)
+    used = np.zeros(len(K.points), dtype=bool)
+    cols, pivots, step_of = [], [], {}
+    picks, increments, estimates = [], [], []
+    for step, el in enumerate(elems):
+        rule = parent_rule(curve, el.shape)
+        if rule is None:
+            col = np.ones(len(K.points), dtype=complex)
+        else:
+            parent, gen = rule
+            src = step_of[parent]
+            col = gen(K.z1, K.z2) * cols[src]
+            for k in range(src, step):
+                i_k, p_k = pivots[k]
+                col = col - cols[k] * (col[i_k] / p_k)
+        step_of[el.shape] = step
+        scores = np.where(used, 0.0, np.abs(col))
+        i = int(np.argmax(scores >= scores.max() * (1.0 - LEJA_TIE_REL)))
+        cols.append(col)
+        pivots.append((i, col[i]))
+        used[i] = True
+        picks.append(i)
+        increments.append(float(np.log(np.abs(col[i]))))
+        m = step + 1
+        if el.degree >= 1 and (m == len(elems) or elems[m].degree > el.degree):
+            l_n = sum(e.degree for e in elems[:m])
+            estimates.append((el.degree, float(np.exp(sum(increments) / l_n))))
+    return picks, increments, estimates
+
+
+def assert_matches_sequential(run, curve, K, basis_id):
+    picks, increments, estimates = sequential_leja(curve, K, basis_id, len(run.selected))
+    assert run.selected == picks
+    assert np.max(np.abs(np.array(run.increments) - increments)) <= 1e-10
+    assert [d for d, _ in run.diam_estimates] == [d for d, _ in estimates]
+    assert [e for _, e in run.diam_estimates] == pytest.approx([e for _, e in estimates],
+                                                              rel=1e-10)
+
+
+class TestBlockedElimination:
+    @pytest.mark.parametrize("basis", [BASIS_S, BASIS_C])
+    @pytest.mark.parametrize("set_name", ["torus_set", "interval_set"])
+    def test_hyperbola_sets_match_sequential(self, hyp, request, set_name, basis):
+        K = request.getfixturevalue(set_name)
+        _, run = transfinite_diameter(hyp, K, basis, 24)
+        assert_matches_sequential(run, hyp, K, basis)
+
+    @pytest.mark.parametrize("basis", [BASIS_S, BASIS_C])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_random_curve_disks_match_sequential(self, d, basis):
+        curve = random_valid_curve(d, seed=7)
+        K = sample(curve, Z1Disk(1.2, resolution=1024))
+        _, run = transfinite_diameter(curve, K, basis, 24)
+        assert_matches_sequential(run, curve, K, basis)
+
+    def test_run_extended_in_two_steps_matches_sequential(self, hyp, torus_set):
+        # the store is allocated for the first extension and grown once
+        m8, _ = block_counts(hyp, BASIS_S, 8)
+        m24, _ = block_counts(hyp, BASIS_S, 24)
+        run = leja_extend(leja_start(hyp, torus_set, BASIS_S), m8)
+        assert run._W.shape == (m8, len(torus_set.points))
+        leja_extend(run, m24 - m8)
+        assert run._W.shape == (m24, len(torus_set.points))
+        assert_matches_sequential(run, hyp, torus_set, BASIS_S)
+
+    def test_torus_estimates_pinned(self, hyp):
+        # the S estimate sits 0.0006 inside the 0.15 band of the torus verify
+        # row, so a change of picks must show here first
+        K = sample(hyp, AbsV1V2Torus(0.5, 0.5, resolution=512))
+        assert transfinite_diameter(hyp, K, BASIS_S, 24)[0] == pytest.approx(
+            0.574690316544, rel=1e-9)
+        assert transfinite_diameter(hyp, K, BASIS_C, 24)[0] == pytest.approx(
+            0.562986085612, rel=1e-9)
 
 
 class TestDiameterAgreement:
