@@ -10,27 +10,15 @@ the coordinate ring.  In a sweep(), as in `curvecheb verify`, each minimax
 problem is solved once, whichever class poses it.
 
 Each problem is posed on the orthonormal design Q of its basis on K, built
-by Arnoldi once per (K, basis) and cached on K; extending it is the one
-rank decision (_Design).  The class gives its leading residual f, the
-leading term projected off the free span: a position class the one its
-element stores, a product class link n of the chain R, RQ, RQ^2, ...,
-each link projected, kept on the design.  min_u max_i |f_i + (Q u)_i| is
-the second-order cone program min t subject to |f_i + (Q u)_i| <= t, one
-cone per sample point, solved by a primal-dual interior-point method with
-Mehrotra predictor-corrector steps and Nesterov-Todd scaling from the
-closed-form least squares point u = 0 (SolverOptions.max_iter counts it).
-Each iteration forms the normal matrix M = A^T W^-2 A from two real
-symmetric products on float views of the design, one for its diagonal
-part and one for its rank-one part per cone, and shifts it by eps times
-its trace, which keeps it definite where M is singular near the optimum
-(Altman and Gondzio, Optim. Methods Softw. 11, 1999).  Both Newton
-systems of the iteration are solved against that shifted matrix by
-np.linalg.solve; the predictor's right-hand side is -e_t exactly.  Where
-eps cond(M), estimated from its Cholesky pivots, exceeds tol, the step is
-checked against M applied unformed, and where it misses by more than tol,
-conjugate gradients preconditioned by the inverse of the shifted matrix
-refine it.  The minimizer is f's polynomial plus sum u_i q_i over
-the column polynomials, built when first read.
+by Arnoldi once per (K, basis) and cached on K (_Design), which holds the
+class's leading residual f, the leading term projected off the free span.
+A solve reads values only; polynomials, such as the minimizer
+f + sum u_i q_i, are built when read.  min_u max_i |f_i + (Q u)_i| is the
+second-order cone program min t subject to |f_i + (Q u)_i| <= t, one cone
+per sample point, solved by a primal-dual interior-point method with
+Mehrotra predictor-corrector steps and Nesterov-Todd scaling (_minimax,
+_normal_inverse) from the closed-form least squares point u = 0
+(SolverOptions.max_iter counts it).
 
 Every iterate's max modulus is an upper bound.  The certificate is a lower
 bound: sqrt(mean |f|^2) at the start, then, once the method's own duality
@@ -126,10 +114,9 @@ class _Product:
         return leading, basis_through_degree(curve, BASIS_S, self.degree(curve, n) - 1)
 
     def leading_residual(self, curve, n, K):
-        """(values on K, polynomial) of R Q^n projected off the S basis below
-        its degree: link n of the chain of (R, Q) kept on K's S design."""
-        return _design(curve, K, BASIS_S).chain(normal_form(curve, self.prefactor),
-                                                self.base(curve), n)
+        """(values on K, polynomial builder) of R Q^n projected off the S basis
+        below its degree: link n of the chain of (R, Q) kept on K's S design."""
+        return _design(curve, K, BASIS_S).chain(self.prefactor, self.base(curve), n)
 
 
 class _Position:
@@ -146,7 +133,7 @@ class _Position:
         return el.poly, free
 
     def leading_residual(self, curve, n, K):
-        """(values on K, polynomial) of the element's residual in its design."""
+        """(values on K, polynomial builder) of the element's residual."""
         basis_id, index = self.position(curve, n)
         return _design(curve, K, basis_id).residual(index)
 
@@ -293,16 +280,16 @@ class ChebSolve:
     tn: float
     iterations: int
     converged: bool
-    # (residual polynomial, column polynomials, coefficients) of the minimizer
+    # (residual polynomial builder, the design's combine, coefficients u)
     parts: tuple = field(repr=False, compare=False)
     ridge_used: bool = False    # the design dropped a column of the free basis, dependent on K
     gap: float = 0.0            # certified optimality gap: norm - lower bound
 
     @cached_property
     def minimizer(self):
-        """The minimizer, the residual polynomial plus sum u_i q_i over the
-        design's column polynomials, built on first read."""
-        return _combine(*self.parts)
+        """The minimizer f + sum u_i q_i, built on first read."""
+        build, combine, u = self.parts
+        return combine(build(), u)
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +609,13 @@ def _minimax(G, f, opts):
     return best_c, best_ub, lb, iterations, converged
 
 
-def _combine(poly, polys, coeffs):
-    """poly + sum coeffs[i] * polys[i], summed in one pass."""
-    acc = poly.terms
-    for p, c in zip(polys, coeffs):
-        for mon, v in p.terms.items():
-            acc[mon] = acc.get(mon, 0j) + c * v
-    return BivarPoly(acc)
+@dataclass(eq=False)
+class _Step:
+    vals: np.ndarray            # a residual or chain link on K
+    parent: object              # a _Step, or the root polynomial where gen is None
+    gen: object                 # the generator multiplying the parent
+    coeffs: np.ndarray          # -(h + dh), the projection on the first len(coeffs) columns
+    poly: object = None         # the normal-form polynomial, once read
 
 
 class _Design:
@@ -640,64 +627,83 @@ class _Design:
     far.  This is the one rank decision: if projection keeps at most
     SINGULAR_RATIO of |g r_p|, b_j depends on earlier elements on K and its
     column is dropped, as are its descendants'; else r_j / |r_j| is the
-    next column.  Residuals and columns carry their normal-form polynomials.
-    The design keeps the product chains posed on it: link i of the chain of
-    (R, Q) is R Q^i projected off the elements below its degree, computed as
-    link i - 1 times Q, projected, so no value holds R Q^i's cancellation.
+    next column.  The design keeps the product chains posed on it: link i
+    of the chain of (R, Q) is R Q^i projected off the elements below its
+    degree, computed as link i - 1 times Q, projected, so no value holds
+    R Q^i's cancellation.  Polynomials are built only when read (poly).
     """
 
     def __init__(self, curve, points, basis_id):
-        self.curve, self.points, self.basis_id = curve, points, basis_id
+        self.curve, self.z, self.basis_id = curve, points.T, basis_id
         self.Q = np.zeros((len(points), 0), dtype=complex)
-        self.polys = []         # polynomial of each column
-        self.residuals = {}     # shape -> (values, polynomial, has a column)
-        self.chains = {}        # (R, Q) -> [(values, polynomial) of R Q^i projected]
+        self.residuals = {}     # shape -> _Step
+        self.counts = [0]       # counts[j]: the columns of the first j elements
+        self.cols = {}          # the _Step of each column -> 1 / |r_j|
+        self.col_polys = []     # the polynomials of the first columns, once read
+        self.chains = {}        # (R, Q) -> [_Step of R Q^i projected]
+
+    def project(self, parent, gen, Q):
+        """The _Step of gen times parent (root parent where gen is None) projected
+        twice off the columns Q, and the norm before."""
+        vals = parent(*self.z) if gen is None else gen(*self.z) * parent.vals
+        h = Q.conj().T @ vals
+        projected = vals - Q @ h
+        dh = Q.conj().T @ projected
+        return _Step(projected - Q @ dh, parent, gen, -(h + dh)), np.linalg.norm(vals)
 
     def residual(self, count):
-        """Residual (values, polynomial) of element `count`, 1-based."""
+        """Residual (values, polynomial builder) of element `count`, 1-based."""
         for el in basis_enumerate(self.curve, self.basis_id, count)[len(self.residuals):]:
             rule = parent_rule(self.curve, el.shape)
-            if rule is None:
-                vals, poly, alive = np.ones(len(self.points), dtype=complex), el.poly, True
-            else:
-                (vals, poly, alive), gen = self.residuals[rule[0]], rule[1]
-                vals = gen(self.points[:, 0], self.points[:, 1]) * vals
-                poly = normal_form(self.curve, gen * poly)
-            before = np.linalg.norm(vals)
-            vals, poly = self.project(vals, poly, len(self.residuals))
-            after = np.linalg.norm(vals)
-            alive = alive and after > SINGULAR_RATIO * before
-            self.residuals[el.shape] = (vals, poly, alive)
-            if alive:
-                self.Q = np.column_stack([self.Q, vals / after])
-                self.polys.append(poly * (1.0 / after))
-        return list(self.residuals.values())[count - 1][:2]
+            parent, gen = (el.poly, None) if rule is None else (self.residuals[rule[0]], rule[1])
+            step, before = self.project(parent, gen, self.Q)
+            after = np.linalg.norm(step.vals)
+            if (rule is None or parent in self.cols) and after > SINGULAR_RATIO * before:
+                self.cols[step] = 1.0 / after
+                self.Q = np.column_stack([self.Q, step.vals / after])
+            self.residuals[el.shape] = step
+            self.counts.append(len(self.cols))
+        return self.read(list(self.residuals.values())[count - 1])
 
     def columns(self, count):
-        """The columns of the first `count` elements and their polynomials."""
+        """The columns of the first `count` elements."""
         if count > len(self.residuals):
             self.residual(count)
-        k = sum(alive for *_, alive in list(self.residuals.values())[:count])
-        return self.Q[:, :k], self.polys[:k]
+        return self.Q[:, :self.counts[count]]
 
-    def chain(self, r, q, n):
-        """(values, polynomial) of link n of the chain of (r, q)."""
-        links, z = self.chains.setdefault((r, q), []), self.points.T
+    def chain(self, prefactor, q, n):
+        """Link n of the chain of (NF(prefactor), q): (values, polynomial builder)."""
+        links = self.chains.setdefault((prefactor, q), [])
+        r = links[0].parent if links else normal_form(self.curve, prefactor)
         for i in range(len(links), n + 1):
-            vals, poly = ((q(*z) * links[-1][0], normal_form(self.curve, q * links[-1][1]))
-                          if i else (r(*z), r))
             degree = int(r.degree + i * q.degree)
-            below = basis_through_degree(self.curve, self.basis_id, degree - 1)
-            links.append(self.project(vals, poly, len(below)))
-        return links[n]
+            Q = self.columns(len(basis_through_degree(self.curve, self.basis_id, degree - 1)))
+            links.append(self.project(links[-1] if i else r, q if i else None, Q)[0])
+        return self.read(links[n])
 
-    def project(self, vals, poly, count):
-        """vals and poly projected twice off the first `count` elements' columns."""
-        Q, polys = self.columns(count)
-        h = Q.conj().T @ vals
-        vals = vals - Q @ h
-        dh = Q.conj().T @ vals
-        return vals - Q @ dh, _combine(poly, polys, -(h + dh))
+    def read(self, step):
+        return step.vals, lambda: self.poly(step)
+
+    def poly(self, step):
+        """The step's polynomial, built and kept by replaying its steps in order."""
+        todo = [step]
+        while todo[-1].poly is None and todo[-1].gen is not None:
+            todo.append(todo[-1].parent)
+        for s in reversed(todo):
+            if s.poly is None:
+                base = s.parent if s.gen is None else normal_form(self.curve, s.gen * s.parent.poly)
+                s.poly = self.combine(base, s.coeffs)
+        return step.poly
+
+    def combine(self, poly, coeffs):
+        """poly + sum coeffs[i] q_i over the column polynomials, in one pass."""
+        for step, scale in list(self.cols.items())[len(self.col_polys):len(coeffs)]:
+            self.col_polys.append(self.poly(step) * scale)
+        acc = poly.terms
+        for p, c in zip(self.col_polys, coeffs):
+            for mon, v in p.terms.items():
+                acc[mon] = acc.get(mon, 0j) + c * v
+        return BivarPoly(acc)
 
 
 def _design(curve, K, basis_id):
@@ -722,9 +728,9 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n
     if [(el.basis_id, el.index) for el in free_basis] != [(basis_id, i + 1) for i in range(m)]:
         raise ValueError("free basis must be a graded basis prefix")
     design = _design(curve, K, basis_id)
-    fp, poly = (design.project(leading(K.z1, K.z2), leading, m) if spec is None
-                else spec.leading_residual(curve, n, K))
-    Q, polys = design.columns(m)
+    Q = design.columns(m)
+    fp, build = (design.read(design.project(leading, None, Q)[0]) if spec is None
+                 else spec.leading_residual(curve, n, K))
     fscale = float(np.max(np.abs(fp))) or 1.0
 
     # Q rms has columns of RMS 1 on K like the t column: balanced Newton matrices
@@ -737,7 +743,7 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n
     return ChebSolve(spec=spec, n=n if n is not None else 0, total_degree=total_degree,
                      norm=norm, tn=tn, iterations=iterations, converged=converged,
                      ridge_used=Q.shape[1] < m, gap=max(norm - lb, 0.0),
-                     parts=(poly, polys, u * (fscale * rms)))
+                     parts=(build, design.combine, u * (fscale * rms)))
 
 
 # ---------------------------------------------------------------------------

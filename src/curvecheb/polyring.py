@@ -187,7 +187,8 @@ class BivarPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items(), key=lambda t: t[0])))
+        # equal polynomials have equal term sets, in whatever order
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         if not self._terms:

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecheb import BivarPoly, Z1Disk, Z2Interval, sample, sup_norm
+from curvecheb import AbsV1V2Torus, BivarPoly, Z1Disk, Z2Interval, sample, sup_norm
 from curvecheb import chebyshev
-from curvecheb.polyring import BASIS_S, basis_through_degree, pow_mod
+from curvecheb.polyring import (
+    BASIS_C,
+    BASIS_S,
+    basis_enumerate,
+    basis_through_degree,
+    normal_form,
+    parent_rule,
+    pow_mod,
+)
 from curvecheb.sets import PointCloud
 from curvecheb.chebyshev import (
     MQ,
@@ -98,10 +106,11 @@ class TestClassParametrize:
             lead_u, free_u = class_parametrize(hyp, unit, n)
             assert list(lead_u.terms.items()) == list(lead_p.terms.items())
             assert free_u == free_p
-            vals_u, poly_u = unit.leading_residual(hyp, n, torus_set_small)
-            vals_p, poly_p = plain.leading_residual(hyp, n, torus_set_small)
+            # the second item builds the residual's polynomial when called
+            vals_u, build_u = unit.leading_residual(hyp, n, torus_set_small)
+            vals_p, build_p = plain.leading_residual(hyp, n, torus_set_small)
             assert np.array_equal(vals_u, vals_p)
-            assert list(poly_u.terms.items()) == list(poly_p.terms.items())
+            assert list(build_u().terms.items()) == list(build_p().terms.items())
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_direction_class_without_prefactor_is_the_power_class(self, hyp, torus_set_small, k):
@@ -125,6 +134,18 @@ class TestClassParametrize:
 @pytest.fixture(scope="module")
 def interval512(hyp):
     return sample(hyp, Z2Interval(-1.0, 1.0, resolution=512))
+
+
+def _count_design_polynomials(monkeypatch):
+    """Names of the _Design.poly and _Design.combine calls made while the
+    test runs, in call order: the design's polynomial arithmetic."""
+    calls = []
+    for name in ("poly", "combine"):
+        def counted(self, *args, _name=name, _real=getattr(chebyshev._Design, name)):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(chebyshev._Design, name, counted)
+    return calls
 
 
 class TestMinimaxSolve:
@@ -162,23 +183,19 @@ class TestMinimaxSolve:
         s = chebyshev_solve(hyp, Zk(0), interval_set, 5)
         assert s.minimizer.coeff(5, 0) == 1.0
 
-    def test_minimizer_is_built_once_on_first_read(self, hyp, interval_set, monkeypatch):
-        built = []
-
-        def combine(*args):
-            built.append(args)
-            return real(*args)
-
-        real = chebyshev._combine
-        monkeypatch.setattr(chebyshev, "_combine", combine)
-        s = chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), interval_set, 6)
-        before = len(built)     # the product chain's projections combine too
+    def test_minimizer_is_built_once_on_first_read(self, hyp, monkeypatch):
+        # a fresh sample, so no earlier test has built polynomials on its design
+        K = sample(hyp, Z2Interval(-1.0, 1.0, resolution=1024))
+        built = _count_design_polynomials(monkeypatch)
+        s = chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), K, 6)
+        assert built == []      # the solve carries values and steps only
         p = s.minimizer
-        assert len(built) == before + 1 and s.minimizer is p
+        assert "combine" in built and "poly" in built
+        count = len(built)
+        assert s.minimizer is p and len(built) == count
         # it is the residual polynomial plus the columns weighted by u, and
         # its max modulus on the sample is the solve's norm
-        assert np.max(np.abs(p(interval_set.z1, interval_set.z2))) == pytest.approx(s.norm,
-                                                                                   rel=1e-9)
+        assert np.max(np.abs(p(K.z1, K.z2))) == pytest.approx(s.norm, rel=1e-9)
 
     def test_never_worse_than_pure_leading(self, hyp, interval_set):
         for spec, n in [(Zk(0), 6), (MQ(hyp.dirbasis[0]), 6)]:
@@ -250,9 +267,10 @@ class TestMinimaxSolve:
                     assert solves[n].norm - solves[n].gap <= bound * (1 + 1e-9), (n, a)
 
     def test_sequence_extends_one_product_chain(self, hyp, ring_calls):
-        # a sequence to 12 takes one chain link, one normal form, per n,
-        # where recomputing the chain for every n takes n(n+1)/2 of them;
-        # the links are those of a fresh set solved at that n alone
+        # a sequence to 12 takes one chain link per n, where recomputing the
+        # chain for every n takes n(n+1)/2 of them, and a link is values: no
+        # normal form; the links are those of a fresh set solved at that n
+        # alone
         K = sample(hyp, Z2Interval(-1.0, 1.0, resolution=512))
         spec, top = MQ(hyp.dirbasis[0]), 12
         chebyshev_solve(hyp, Zk(0), K, top)     # builds the design past the chain's needs
@@ -264,15 +282,177 @@ class TestMinimaxSolve:
         parametrize_calls = ring_calls.count("normal_form")
         ring_calls.clear()
         seq = chebyshev_sequence(hyp, spec, K, range(1, top + 1))
-        # per n: the prefactor's normal form, then the new link
-        assert ring_calls.count("normal_form") - parametrize_calls == 2 * top
+        # the chain's root NF(R), once per chain; no link takes one
+        assert ring_calls.count("normal_form") - parametrize_calls == 1
         for n, s in enumerate(seq, start=1):
             alone = sample(hyp, Z2Interval(-1.0, 1.0, resolution=512))
             single = chebyshev_solve(hyp, spec, alone, n)
-            vals, poly = spec.leading_residual(hyp, n, K)
-            vals1, poly1 = spec.leading_residual(hyp, n, alone)
-            assert np.array_equal(vals, vals1) and poly == poly1, n
+            vals, build = spec.leading_residual(hyp, n, K)
+            vals1, build1 = spec.leading_residual(hyp, n, alone)
+            assert np.array_equal(vals, vals1) and build() == build1(), n
             assert (s.norm, s.gap, s.iterations) == (single.norm, single.gap, single.iterations)
+
+    def test_sequence_is_values_only(self, hyp, cubic7, ring_calls, monkeypatch):
+        # with no minimizer read, a sequence builds no polynomial on its
+        # design: no combination, and no normal form beyond
+        # class_parametrize's but a product chain's root NF(R)
+        built = _count_design_polynomials(monkeypatch)
+        interval, disk = Z2Interval(-1.0, 1.0, resolution=512), Z1Disk(1.2, resolution=256)
+        for curve, desc, spec, top in ((hyp, interval, MQ(hyp.dirbasis[0]), 10),
+                                       (hyp, interval, Zk(1), 10),
+                                       (cubic7, disk, MRQ(Z1 * Z2, cubic7.dirbasis[0]), 4),
+                                       (cubic7, disk, Tau(BASIS_C), 16)):
+            K = sample(curve, desc)
+            for n in range(1, top + 1):     # builds the elements' polynomials
+                class_parametrize(curve, spec, n)
+            ring_calls.clear()
+            for n in range(1, top + 1):
+                class_parametrize(curve, spec, n)
+            parametrize_calls = ring_calls.count("normal_form")
+            ring_calls.clear()
+            chebyshev_sequence(curve, spec, K, range(1, top + 1))
+            roots = isinstance(spec, chebyshev._Product)
+            assert ring_calls.count("normal_form") - parametrize_calls == roots, spec
+            assert built == [], spec
+
+
+def _lockstep_combine(poly, polys, coeffs):
+    """poly + sum coeffs[i] * polys[i], summed in one pass."""
+    acc = poly.terms
+    for p, c in zip(polys, coeffs):
+        for mon, v in p.terms.items():
+            acc[mon] = acc.get(mon, 0j) + c * v
+    return BivarPoly(acc)
+
+
+class _LockstepDesign:
+    """The reference for the replay: the design as built when every
+    residual, column and chain link advanced its values and its normal-form
+    polynomial together, each projection combining the column polynomials
+    so far."""
+
+    def __init__(self, curve, points, basis_id):
+        self.curve, self.points, self.basis_id = curve, points, basis_id
+        self.Q = np.zeros((len(points), 0), dtype=complex)
+        self.polys = []         # polynomial of each column
+        self.residuals = {}     # shape -> (values, polynomial, has a column)
+        self.chains = {}        # (NF(R), Q) -> [(values, polynomial) of R Q^i projected]
+
+    def residual(self, count):
+        for el in basis_enumerate(self.curve, self.basis_id, count)[len(self.residuals):]:
+            rule = parent_rule(self.curve, el.shape)
+            if rule is None:
+                vals, poly, alive = np.ones(len(self.points), dtype=complex), el.poly, True
+            else:
+                (vals, poly, alive), gen = self.residuals[rule[0]], rule[1]
+                vals = gen(self.points[:, 0], self.points[:, 1]) * vals
+                poly = normal_form(self.curve, gen * poly)
+            before = np.linalg.norm(vals)
+            vals, poly = self.project(vals, poly, len(self.residuals))
+            after = np.linalg.norm(vals)
+            alive = alive and after > chebyshev.SINGULAR_RATIO * before
+            self.residuals[el.shape] = (vals, poly, alive)
+            if alive:
+                self.Q = np.column_stack([self.Q, vals / after])
+                self.polys.append(poly * (1.0 / after))
+        return list(self.residuals.values())[count - 1][:2]
+
+    def columns(self, count):
+        if count > len(self.residuals):
+            self.residual(count)
+        k = sum(alive for *_, alive in list(self.residuals.values())[:count])
+        return self.Q[:, :k], self.polys[:k]
+
+    def chain(self, prefactor, q, n):
+        r = normal_form(self.curve, prefactor)
+        links, z = self.chains.setdefault((r, q), []), self.points.T
+        for i in range(len(links), n + 1):
+            vals, poly = ((q(*z) * links[-1][0], normal_form(self.curve, q * links[-1][1]))
+                          if i else (r(*z), r))
+            degree = int(r.degree + i * q.degree)
+            below = basis_through_degree(self.curve, self.basis_id, degree - 1)
+            links.append(self.project(vals, poly, len(below)))
+        return links[n]
+
+    def project(self, vals, poly, count):
+        Q, polys = self.columns(count)
+        h = Q.conj().T @ vals
+        vals = vals - Q @ h
+        dh = Q.conj().T @ vals
+        return vals - Q @ dh, _lockstep_combine(poly, polys, -(h + dh))
+
+
+def _terms(p):
+    return list(p.terms.items())
+
+
+def _replay_case(name, hyp, cubic7):
+    """(curve, set, basis, residual count, chains (prefactor, Q, n), class
+    solves (spec, n), spec-less solves (spec, n) posed through
+    minimax_solve) of each design the replay is checked on."""
+    z2z1 = (Z2, Z1, 6)
+    if name in ("torus", "interval"):
+        desc = (AbsV1V2Torus(0.5, 0.5, resolution=256) if name == "torus"
+                else Z2Interval(-1.0, 1.0, resolution=256))
+        v1 = hyp.dirbasis[0]
+        return (hyp, desc, BASIS_S, 30, [(BivarPoly.constant(1.0), v1, 8), z2z1],
+                [(Zk(1), 5), (MQ(v1), 6), (MRQ(Z2, Z1), 4)], [(Zk(0), 5), (MQ(v1), 3)])
+    if name == "cubic7-S":
+        v1 = cubic7.dirbasis[0]
+        return (cubic7, Z1Disk(1.2, resolution=256), BASIS_S, 30,
+                [(BivarPoly.constant(1.0), v1, 5), (Z1, cubic7.dirbasis[1], 4), z2z1],
+                [(Zk(2), 4), (MQ(v1), 5), (Mz1jVk(1, 2), 3)], [(Zk(1), 6)])
+    if name == "cubic7-C":
+        return (cubic7, Z1Disk(1.2, resolution=256), BASIS_C, 30, [],
+                [(Tau(BASIS_C), 12), (Tau(BASIS_C), 20), (TildeMl(0, 2), 3)], [])
+    # z1^2 = 2 on these four points: the design drops the column of z1^2
+    K = PointCloud(points=tuple((a * np.sqrt(2) + 0j, b + 0j) for a in (1, -1) for b in (1, -1)))
+    return hyp, K, BASIS_S, 4, [(Z2, Z1, 1)], [], [(Zk(1), 1)]
+
+
+class TestReplay:
+    """Polynomials built on read by replaying the design's steps are those
+    of the lockstep build, term for term and in the same term order, read
+    in any order."""
+
+    @pytest.mark.parametrize("name", ["torus", "interval", "cubic7-S", "cubic7-C",
+                                      "rank-deficient"])
+    def test_replay_matches_lockstep(self, hyp, cubic7, name):
+        curve, desc, basis_id, count, chains, solves, specless = _replay_case(name, hyp, cubic7)
+        K = sample(curve, desc)
+        design = chebyshev._design(curve, K, basis_id)
+        ref = _LockstepDesign(curve, K.points, basis_id)
+        # the minimizers first, so the replay starts from the top
+        for spec, n in solves:
+            s = chebyshev_solve(curve, spec, K, n)
+            if isinstance(spec, chebyshev._Product):
+                lead = ref.chain(spec.prefactor, spec.base(curve), n)[1]
+            else:
+                b, index = spec.position(curve, n)
+                assert b == basis_id
+                lead = ref.residual(index)[1]
+            want = _lockstep_combine(lead, ref.polys, s.parts[2])
+            assert _terms(s.minimizer) == _terms(want), (spec, n)
+        for spec, n in specless:
+            leading, free = class_parametrize(curve, spec, n)
+            s = minimax_solve(leading, free, K, curve=curve)
+            _, lead = ref.project(leading(K.z1, K.z2), leading, len(free))
+            want = _lockstep_combine(lead, ref.polys, s.parts[2])
+            assert _terms(s.minimizer) == _terms(want), (spec, n)
+        for prefactor, q, top in chains:
+            for n in reversed(range(top + 1)):
+                (vals, build), (rvals, rpoly) = (design.chain(prefactor, q, n),
+                                                 ref.chain(prefactor, q, n))
+                assert np.array_equal(vals, rvals) and _terms(build()) == _terms(rpoly), n
+        for j in reversed(range(1, count + 1)):
+            (vals, build), (rvals, rpoly) = design.residual(j), ref.residual(j)
+            assert np.array_equal(vals, rvals) and _terms(build()) == _terms(rpoly), j
+        Q, (rQ, rpolys) = design.columns(count), ref.columns(count)
+        assert np.array_equal(Q, rQ) and len(rpolys) == len(design.cols)
+        design.combine(BivarPoly.zero(), np.zeros(len(rpolys)))
+        assert [_terms(p) for p in design.col_polys] == [_terms(p) for p in rpolys]
+        if name == "rank-deficient":
+            assert len(rpolys) == count - 1
 
 
 class TestScalingLaws:

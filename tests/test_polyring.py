@@ -60,6 +60,16 @@ class TestArithmetic:
         assert BivarPoly.zero().degree == float("-inf")
         assert (Z1 - Z1).is_zero
 
+    @given(p=polys)
+    @settings(max_examples=40, deadline=None)
+    def test_term_order_is_not_part_of_the_value(self, p):
+        # the same terms inserted in reverse compare and hash equal
+        items = list(p.terms.items())
+        q = BivarPoly(dict(reversed(items)))
+        assert list(q.terms.items()) == list(reversed(items))
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1 and {p: 1}[q] == 1
+
     @given(p=polys, q=polys)
     @settings(max_examples=40, deadline=None)
     def test_product_degree_law(self, p, q):
