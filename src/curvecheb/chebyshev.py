@@ -635,7 +635,8 @@ class _Design:
 
     def __init__(self, curve, points, basis_id):
         self.curve, self.z, self.basis_id = curve, points.T, basis_id
-        self.Q = np.zeros((len(points), 0), dtype=complex)
+        self.Q = np.zeros((len(points), 0), dtype=complex)   # a view of the first columns of _buf
+        self._buf = self.Q
         self.residuals = {}     # shape -> _Step
         self.counts = [0]       # counts[j]: the columns of the first j elements
         self.cols = {}          # the _Step of each column -> 1 / |r_j|
@@ -646,9 +647,10 @@ class _Design:
         """The _Step of gen times parent (root parent where gen is None) projected
         twice off the columns Q, and the norm before."""
         vals = parent(*self.z) if gen is None else gen(*self.z) * parent.vals
-        h = Q.conj().T @ vals
+        QH = Q.conj().T
+        h = QH @ vals
         projected = vals - Q @ h
-        dh = Q.conj().T @ projected
+        dh = QH @ projected
         return _Step(projected - Q @ dh, parent, gen, -(h + dh)), np.linalg.norm(vals)
 
     def residual(self, count):
@@ -659,8 +661,13 @@ class _Design:
             step, before = self.project(parent, gen, self.Q)
             after = np.linalg.norm(step.vals)
             if (rule is None or parent in self.cols) and after > SINGULAR_RATIO * before:
+                k = len(self.cols)
                 self.cols[step] = 1.0 / after
-                self.Q = np.column_stack([self.Q, step.vals / after])
+                if k == self._buf.shape[1]:     # full: double it
+                    self._buf = np.empty((len(self._buf), 2 * k + 1), dtype=complex)
+                    self._buf[:, :k] = self.Q
+                self._buf[:, k] = step.vals / after
+                self.Q = self._buf[:, :k + 1]
             self.residuals[el.shape] = step
             self.counts.append(len(self.cols))
         return self.read(list(self.residuals.values())[count - 1])

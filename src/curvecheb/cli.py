@@ -277,6 +277,8 @@ def parse_class_spec(curve, text):
     }
     if name not in forms:
         raise ConfigError(f"unknown class spec {text!r}")
+    if name == "mv":
+        curve.require_directional("directional classes")
     make, ranges = forms[name]
     try:
         idx = [int(x) for x in args.split(",")]

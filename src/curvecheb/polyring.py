@@ -535,6 +535,13 @@ def parent_rule(curve, shape):
     return (("dir", 0, k, q - 1) if q > 1 else ("monomial", 0, 0)), curve.dirbasis[k - 1]
 
 
+def generator_reach(curve, basis_id):
+    """The largest generator degree in parent_rule over the basis: 1 for z1
+    and z2, d - 1 for the v_k of basis C.  No element is more than this
+    many degrees above its parent."""
+    return max(1, curve.d - 1) if basis_id == BASIS_C else 1
+
+
 def expand_in_basis(curve, p, basis_id):
     """Coefficients of p (in normal form) w.r.t. the graded basis.
 

@@ -14,6 +14,11 @@ against the steps since the parent.  This change of basis is
 unit-triangular, so determinant bookkeeping is exact, and it sidesteps the
 catastrophic cancellation that kills raw Vandermonde columns beyond degree
 ~40 on sets of capacity != 1.
+A parent is at most g degrees below its element, g the largest generator
+degree (polyring.generator_reach), and the basis is graded, so a run keeps
+only the columns of degree >= the current degree - g: a window of rows that
+slides as the degree grows, its size set by the widest stretch of live
+steps, not by the depth of the run.
 All determinant work happens in log-modulus space; raw determinants
 overflow doubles around degree ten.
 """
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polyring import basis_enumerate, basis_through_degree, parent_rule
+from .polyring import basis_enumerate, basis_through_degree, generator_reach, parent_rule
 from .chebyshev import LIMIT_SLACK, Tau, basis_values
 from .sets import SampleTooSmall
 
@@ -68,8 +73,11 @@ class LejaRun:
     increments: list = field(default_factory=list)
     diam_estimates: list = field(default_factory=list)  # (degree, estimate)
     _elems: list = field(default_factory=list, repr=False)
-    # remainder column of step k in row k, zero at the rows picked before k
+    # remainder column of step _base + k in row k, zero at the rows picked
+    # before that step; rows hold consecutive steps, from the first that a
+    # later column can read (degree >= the current degree - generator_reach) on
     _W: np.ndarray = field(default=None, repr=False)
+    _base: int = field(default=0, repr=False)
     _step_of: dict = field(default_factory=dict, repr=False)  # shape -> step
     # generator values by the generator's id: the generators are module
     # constants or the curve's own polynomials, alive while the run is
@@ -77,12 +85,13 @@ class LejaRun:
     _degree_sum: int = field(default=0, repr=False)           # of the picked elements
 
     def _new_column(self, el, step):
-        """Row `step` of the store: el's generator times its parent's column,
+        """The window row of `step`: el's generator times its parent's column,
         eliminated against the steps since the parent.  The pick rows of
         those steps carry a lower-triangular block whose diagonal is their
         pivots; forward substitution on it gives the coefficients of all
         the steps at once, and one product with their rows applies them."""
-        col = self._W[step]
+        base = self._base
+        col = self._W[step - base]
         rule = parent_rule(self.curve, el.shape)
         if rule is None:
             col[:] = 1.0
@@ -92,9 +101,9 @@ class LejaRun:
         if values is None:
             values = self._gens[id(gen)] = gen(self.candidates.z1, self.candidates.z2)
         src = self._step_of[parent_shape]
-        np.multiply(values, self._W[src], out=col)
+        np.multiply(values, self._W[src - base], out=col)
         rows = self.selected[src:step]
-        block = self._W[src:step]
+        block = self._W[src - base:step - base]
         L = block[:, rows].tolist()     # L[j][k]: column src + j at the pick of src + k
         coef = col[rows].tolist()
         for k in range(len(coef)):
@@ -129,13 +138,25 @@ def leja_extend(run, count):
         raise SampleTooSmall("candidate set exhausted")
     if target > len(run._elems):
         run._elems = basis_enumerate(run.curve, run.basis_id, target)
-    if target > len(run._W):
-        store = np.empty((target, n_cand), dtype=complex)
-        store[:done] = run._W[:done]
-        run._W = store
-    scores = np.empty(n_cand)
     elems = run._elems
-    for step in range(done, target):
+    reach = generator_reach(run.curve, run.basis_id)
+    # firsts[i]: the first step that step done + i, or a later one, can read
+    firsts, lo = [], run._base
+    for el in elems[done:target]:
+        while elems[lo].degree < el.degree - reach:
+            lo += 1
+        firsts.append(lo)
+    # twice the most live rows, so a slide comes at most once per half window
+    rows = 2 * max((step + 1 - lo for step, lo in enumerate(firsts, done)), default=0)
+    if rows > len(run._W):
+        window = np.empty((rows, n_cand), dtype=complex)
+        window[:done - firsts[0]] = run._W[firsts[0] - run._base:done - run._base]
+        run._W, run._base = window, firsts[0]
+    scores = np.empty(n_cand)
+    for step, first in zip(range(done, target), firsts):
+        if step - run._base == len(run._W):   # full: slide the live rows to the front
+            run._W[:step - first] = run._W[first - run._base:step - run._base]
+            run._base = first
         el = elems[step]
         col = run._new_column(el, step)
         run._step_of[el.shape] = step

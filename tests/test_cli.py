@@ -407,6 +407,11 @@ class TestConfigErrors:
     def test_bad_class_spec(self, torus_config):
         assert main(["cheb", "--config", torus_config, "--class", "what:9"]) == 2
 
+    @pytest.mark.parametrize("spec", ["mv:1", "mz1j:0,1", "mtilde:0,1"])
+    def test_directional_class_on_relaxed_curve(self, capsys, axes_config, spec):
+        assert main(["cheb", "--config", axes_config, "--class", spec]) == 2
+        assert "directional classes unavailable on a relaxed curve" in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides, command, key", [
         ({"directions": [5, 6]}, "robin", "directions"),
         ({"directions": [[1]]}, "robin", "directions"),

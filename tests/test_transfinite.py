@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from curvecheb.polyring import (
     BivarPoly,
     basis_enumerate,
     curve_new,
+    generator_reach,
     leading_part,
     parent_rule,
 )
@@ -200,14 +202,33 @@ class TestBlockedElimination:
         assert_matches_sequential(run, curve, K, basis)
 
     def test_run_extended_in_two_steps_matches_sequential(self, hyp, torus_set):
-        # the store is allocated for the first extension and grown once
+        # the window holds at most twice the live rows: the d elements of
+        # each of the reach + 1 top degrees, whatever the depth
+        window = 2 * hyp.d * (generator_reach(hyp, BASIS_S) + 1)
         m8, _ = block_counts(hyp, BASIS_S, 8)
         m24, _ = block_counts(hyp, BASIS_S, 24)
         run = leja_extend(leja_start(hyp, torus_set, BASIS_S), m8)
-        assert run._W.shape == (m8, len(torus_set.points))
+        assert len(run._W) <= window < m8
         leja_extend(run, m24 - m8)
-        assert run._W.shape == (m24, len(torus_set.points))
+        assert len(run._W) <= window
         assert_matches_sequential(run, hyp, torus_set, BASIS_S)
+
+    @pytest.mark.parametrize("basis", [BASIS_S, BASIS_C])
+    def test_deep_run_store_does_not_grow(self, hyp, torus_set, basis):
+        # to degree 100 (201 picks) the full store would take 201 rows of
+        # 1,024 values, 3.3 MB; the window takes a few rows.  The basis is
+        # enumerated first, so the trace holds only the run's own arrays
+        m, _ = block_counts(hyp, basis, 100)
+        basis_enumerate(hyp, basis, m)
+        run = leja_start(hyp, torus_set, basis)
+        tracemalloc.start()
+        try:
+            leja_extend(run, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert_matches_sequential(run, hyp, torus_set, basis)
 
     def test_torus_estimates_pinned(self, hyp):
         # the S estimate sits 0.0006 inside the 0.15 band of the torus verify
