@@ -175,7 +175,7 @@ class MRQ(_Product):
     def describe(self):
         return f"M_{self.r.short()}({self.q.short()})"
 
-    @property
+    @cached_property
     def prefactor(self):
         return _canonical_scale(self.r)
 

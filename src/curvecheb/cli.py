@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import polyring, sets
-from .polyring import BASIS_C, BASIS_S, BivarPoly, CurveError, curve_new, poly_from_records
+from .polyring import (BASIS_C, BASIS_S, BivarPoly, CurveError, basis_through_degree,
+                       curve_new, poly_from_records)
 from .sets import (
     AbsV1V2Torus,
     BidiskTrace,
@@ -243,10 +244,6 @@ def _fmt(x):
     if isinstance(x, complex):
         return f"{x.real:.12g}{x.imag:+.12g}j"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "-inf" if x < 0 else "inf"
         return f"{x:.12g}"
     return str(x)
 
@@ -371,12 +368,14 @@ def cmd_tfd(cfg, out, basis):
     est, run = transfinite_diameter(curve, K, basis, cfg.n_max)
     lines = ["step\tre_z1\tim_z1\tre_z2\tim_z2\tincrement\tdegree\testimate"]
     ests = dict(run.diam_estimates)
-    for i, (idx, pt) in enumerate(zip(run.selected, run.points), start=1):
-        deg = run._elems[i - 1].degree
-        dest = _fmt(ests.get(deg)) if (i == len(run.points) or run._elems[i].degree > deg) else ""
+    # pick m closes its degree block when m is the length of the prefix through it
+    ends = {len(basis_through_degree(curve, basis, n)) for n in range(cfg.n_max + 1)}
+    elems = basis_through_degree(curve, basis, cfg.n_max)
+    for i, (el, pt, inc) in enumerate(zip(elems, run.points, run.increments), start=1):
+        dest = _fmt(ests.get(el.degree)) if i in ends else ""
         lines.append(
             f"{i}\t{_fmt(pt[0].real)}\t{_fmt(pt[0].imag)}\t{_fmt(pt[1].real)}"
-            f"\t{_fmt(pt[1].imag)}\t{_fmt(run.increments[i - 1])}\t{deg}\t{dest}"
+            f"\t{_fmt(pt[1].imag)}\t{_fmt(inc)}\t{el.degree}\t{dest}"
         )
     lines.append(f"diameter estimate\t{_fmt(est)}")
     print(f"basis {basis} degree {cfg.n_max}: diameter estimate {est:.6g}")

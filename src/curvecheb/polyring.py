@@ -345,8 +345,6 @@ def curve_new(P, relaxed=False):
                 if err > DELTA_TOL * size * max(1.0, abs(lam)) ** (d - 1):
                     raise CurveError("directional basis failed delta normalization")
         dirbasis = tuple(vs)
-    elif not relaxed:
-        raise CurveError("non-distinct directions")
 
     # Reduction rule: eliminate the grevlex-largest monomial of P.  For a
     # valid curve this is z2^d, matching the standard-monomial basis S; for

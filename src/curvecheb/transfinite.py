@@ -4,7 +4,7 @@ V_n is the maximal modulus of det[b_j(zeta_k)] over n-point configurations;
 the n-th point of a greedy (Leja) sequence maximizes the determinant given
 the earlier picks, which lower-bounds the true sup but shares its n-th root
 asymptotics in practice.  Diameter estimates are the l_n-th roots of the
-greedy V at completed degree blocks, with l_n the sum of basis degrees.
+greedy V at complete degree blocks, which the basis prefix delimits.
 
 Working columns are generated in Newton form by the parent rule of
 polyring.parent_rule, the one that builds the minimax designs: the
@@ -59,7 +59,7 @@ def log_vdm(curve, basis_id, pts):
 
 @dataclass
 class LejaRun:
-    """Incremental greedy Fekete state over a fixed candidate set.
+    """Greedy Fekete picks over a fixed candidate set, and what they produce.
 
     leja_extend mutates the run in place and returns it.
     """
@@ -71,8 +71,6 @@ class LejaRun:
     points: list = field(default_factory=list)      # (z1, z2) pairs
     log_vdm: list = field(default_factory=list)     # cumulative after each pick
     increments: list = field(default_factory=list)
-    diam_estimates: list = field(default_factory=list)  # (degree, estimate)
-    _elems: list = field(default_factory=list, repr=False)
     # remainder column of step _base + k in row k, zero at the rows picked
     # before that step; rows hold consecutive steps, from the first that a
     # later column can read (degree >= the current degree - generator_reach) on
@@ -82,7 +80,20 @@ class LejaRun:
     # generator values by the generator's id: the generators are module
     # constants or the curve's own polynomials, alive while the run is
     _gens: dict = field(default_factory=dict, repr=False)
-    _degree_sum: int = field(default=0, repr=False)           # of the picked elements
+
+    @property
+    def diam_estimates(self):
+        """(n, V_{m_n}^{1/l_n}) at each degree block n >= 1 the picks complete:
+        m_n is the length of the basis prefix through degree n, l_n its degree sum."""
+        out, l_n, m_lo, n = [], 0, 1, 1
+        while m_lo < len(self.log_vdm):
+            m_n = len(basis_through_degree(self.curve, self.basis_id, n))
+            if m_n > len(self.log_vdm):
+                break
+            l_n += n * (m_n - m_lo)
+            out.append((n, float(np.exp(self.log_vdm[m_n - 1] / l_n))))
+            m_lo, n = m_n, n + 1
+        return out
 
     def _new_column(self, el, step):
         """The window row of `step`: el's generator times its parent's column,
@@ -124,7 +135,7 @@ def leja_start(curve, K, basis_id):
 
 
 def leja_extend(run, count):
-    """Greedily append `count` points, updating diameter estimates.
+    """Greedily append `count` points to the run.
 
     Each pick maximizes the modulus of the Vandermonde determinant of the
     selected points given the earlier ones; scores within LEJA_TIE_REL of
@@ -136,9 +147,7 @@ def leja_extend(run, count):
     target = done + count
     if target > n_cand:
         raise SampleTooSmall("candidate set exhausted")
-    if target > len(run._elems):
-        run._elems = basis_enumerate(run.curve, run.basis_id, target)
-    elems = run._elems
+    elems = basis_enumerate(run.curve, run.basis_id, target)
     reach = generator_reach(run.curve, run.basis_id)
     # firsts[i]: the first step that step done + i, or a later one, can read
     firsts, lo = [], run._base
@@ -170,12 +179,6 @@ def leja_extend(run, count):
         inc = float(np.log(scores[i]))
         run.increments.append(inc)
         run.log_vdm.append((run.log_vdm[-1] if run.log_vdm else 0.0) + inc)
-        run._degree_sum += el.degree
-        # diameter estimate at completed degree blocks
-        m = step + 1
-        if el.degree >= 1 and (m == len(elems) or elems[m].degree > el.degree):
-            run.diam_estimates.append(
-                (el.degree, float(np.exp(run.log_vdm[-1] / run._degree_sum))))
     return run
 
 
@@ -191,13 +194,12 @@ def transfinite_diameter(curve, K, basis_id, n_max, run=None):
     The raw block values V_{m_n}^{1/l_n} approach the limit only like
     exp(O(m log m)/l_n) because of the m!-type volume factor, which the
     limit theory divides out; the returned estimate is the slope of log V
-    between degrees n_max/2 and n_max, which cancels that factor at finite
-    depth.  The raw per-block values remain available on the run.
+    between degrees n_max // 2 and n_max, which cancels that factor at
+    finite depth.  The raw block values are read from run.diam_estimates.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    elems = basis_through_degree(curve, basis_id, n_max)
-    m_n = len(elems)
+    m_n, l_hi = block_counts(curve, basis_id, n_max)
     if m_n > len(K.points):
         raise SampleTooSmall(
             f"candidate set has {len(K.points)} points, need {m_n} for degree {n_max}"
@@ -210,15 +212,8 @@ def transfinite_diameter(curve, K, basis_id, n_max, run=None):
     if missing > 0:
         leja_extend(run, missing)
     ests = dict(run.diam_estimates)
-    if n_max not in ests:
-        raise RuntimeError("no completed degree block at n_max")
-    n_lo = max(1, n_max // 2)
-    while n_lo not in ests and n_lo < n_max:
-        n_lo += 1
-    if n_lo == n_max:
-        return ests[n_max], run
-    l_hi = sum(el.degree for el in elems)
-    l_lo = sum(el.degree for el in elems if el.degree <= n_lo)
+    n_lo = n_max // 2
+    _, l_lo = block_counts(curve, basis_id, n_lo)
     slope = (l_hi * np.log(ests[n_max]) - l_lo * np.log(ests[n_lo])) / (l_hi - l_lo)
     return float(np.exp(slope)), run
 

@@ -249,6 +249,18 @@ class TestSampleAndTfd:
         est = float(out.rsplit("estimate", 1)[1])
         assert abs(est - 0.5) / 0.5 < 0.15
 
+    def test_tfd_estimates_fill_one_row_per_degree_block(self, tmp_path, torus_config):
+        # degrees 0..8 close their blocks at steps 1, 3, 5, ..., 17; degree 0
+        # has no estimate and prints nan
+        out = tmp_path / "out"
+        assert main(["tfd", "--config", torus_config, "--basis", "S", "--n-max", "8",
+                     "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in
+                (out / "tfd_S.tsv").read_text().splitlines()[1:-1]]
+        filled = [(int(r[0]), int(r[6]), r[7]) for r in rows if r[7]]
+        assert [(step, deg) for step, deg, _ in filled] == [(2 * n + 1, n) for n in range(9)]
+        assert filled[0][2] == "nan"
+
     def test_n_max_beyond_the_sample_names_n_max_and_resolution(self, capsys, torus_config):
         assert main(["tfd", "--config", torus_config, "--resolution", "16",
                      "--n-max", "1000"]) == 2
@@ -279,6 +291,15 @@ class TestSampleAndTfd:
         monkeypatch.setattr(cli, "transfinite_diameter", failing)
         assert main(["tfd", "--config", torus_config, "--n-max", "4"]) == 3
         assert "numerical failure: degenerate candidate set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x, want", [
+    (float("nan"), "nan"), (-float("nan"), "nan"), (np.float64("nan"), "nan"),
+    (float("inf"), "inf"), (-np.inf, "-inf"), (np.float64(-np.inf), "-inf"),
+    (np.float64(0.1), "0.1"), (1 / 3, "0.333333333333"), (None, "nan"),
+    (complex(1.5, -2), "1.5-2j"), (3, "3"), ("x", "x")])
+def test_fmt(x, want):
+    assert cli._fmt(x) == want
 
 
 class TestRobinCmd:

@@ -119,6 +119,31 @@ class TestLeja:
         with pytest.raises(ValueError, match="another curve, set or basis"):
             transfinite_diameter(hyp, torus_set, BASIS_C, 24, run=run)
 
+    @pytest.mark.parametrize("curve_name, basis, first, second", [
+        ("hyp", BASIS_S, 4, 1), ("hyp", BASIS_C, 4, 1), ("cubic7", BASIS_C, 4, 2)])
+    def test_extension_ending_mid_block_records_no_estimate(self, request, torus_set,
+                                                           curve_name, basis, first, second):
+        # the first extension stops short of the end of the degree-2 block:
+        # only the degree-1 block is complete, and the second extension
+        # closes degree 2 with the estimate of a run made at once
+        curve = request.getfixturevalue(curve_name)
+        K = torus_set if curve_name == "hyp" else sample(curve, Z1Disk(1.2, resolution=1024))
+        assert block_counts(curve, basis, 2)[0] == first + second
+        run = leja_extend(leja_start(curve, K, basis), first)
+        assert [n for n, _ in run.diam_estimates] == [1]
+        leja_extend(run, second)
+        at_once = leja_extend(leja_start(curve, K, basis), first + second)
+        assert run.diam_estimates == at_once.diam_estimates
+        assert [n for n, _ in run.diam_estimates] == [1, 2]
+
+    @pytest.mark.parametrize("basis, n_max, want", [
+        (BASIS_S, 2, 1.0), (BASIS_S, 3, 0.9355068519681916),
+        (BASIS_C, 2, 0.8408964152537145), (BASIS_C, 3, 0.8122523963562355)])
+    def test_smallest_slopes_pinned(self, hyp, torus_set, basis, n_max, want):
+        # n_max = 2 and 3 take the slope from degree 1, the shallowest blocks
+        assert transfinite_diameter(hyp, torus_set, basis, n_max)[0] == pytest.approx(
+            want, rel=1e-12)
+
     @pytest.mark.parametrize("basis", [BASIS_S, BASIS_C])
     def test_picks_ignore_rounding_level_ties(self, hyp, torus_set_small, basis):
         # the symmetric torus has exactly tied candidates; a relative
