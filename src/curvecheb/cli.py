@@ -61,6 +61,11 @@ EXIT_ASSERT = 1
 EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
 
+# the off-set points extremal and verify evaluate at: probe_points(curve,
+# PROBE_RADII, PROBE_COUNT), on the circles |z1| = r
+PROBE_RADII = (1.5, 2.5, 4.0)
+PROBE_COUNT = 48
+
 
 class ConfigError(ValueError):
     pass
@@ -371,12 +376,11 @@ def cmd_tfd(cfg, out, basis):
     # pick m closes its degree block when m is the length of the prefix through it
     ends = {len(basis_through_degree(curve, basis, n)) for n in range(cfg.n_max + 1)}
     elems = basis_through_degree(curve, basis, cfg.n_max)
-    for i, (el, pt, inc) in enumerate(zip(elems, run.points, run.increments), start=1):
+    # one format per row; the floats as _fmt writes them
+    row = "{}\t{:.12g}\t{:.12g}\t{:.12g}\t{:.12g}\t{:.12g}\t{}\t{}".format
+    for i, (el, (z1, z2), inc) in enumerate(zip(elems, run.points, run.increments), start=1):
         dest = _fmt(ests.get(el.degree)) if i in ends else ""
-        lines.append(
-            f"{i}\t{_fmt(pt[0].real)}\t{_fmt(pt[0].imag)}\t{_fmt(pt[1].real)}"
-            f"\t{_fmt(pt[1].imag)}\t{_fmt(inc)}\t{el.degree}\t{dest}"
-        )
+        lines.append(row(i, z1.real, z1.imag, z2.real, z2.imag, inc, el.degree, dest))
     lines.append(f"diameter estimate\t{_fmt(est)}")
     print(f"basis {basis} degree {cfg.n_max}: diameter estimate {est:.6g}")
     if out:
@@ -391,7 +395,7 @@ def cmd_extremal(cfg, out, n):
         raise ConfigError(f"--n must be a positive integer, not {n}")
     curve = cfg.build_curve()
     K = sample(curve, cfg.build_descriptor())
-    pts = probe_points(curve, [1.5, 2.5, 4.0], 48)
+    pts = probe_points(curve, PROBE_RADII, PROBE_COUNT)
     rep = vk_max(curve, K, n, pts, cfg.solver)
     lines = ["re_z1\tim_z1\tre_z2\tim_z2\tV_max\tV_tilde_max\toracle\tgap"]
     for i in range(len(pts)):
@@ -466,7 +470,7 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
                                          e.discrepancy, limit_slack, 0.0))
 
     try:
-        pts = probe_points(curve, [1.5, 2.5, 4.0], 48)
+        pts = probe_points(curve, PROBE_RADII, PROBE_COUNT)
         oracle_eval(K.descriptor, pts, curve=curve)
         rep = vk_max(curve, K, cfg.n_max, pts, cfg.solver, robin=robin)
         assertions.append(_assert_le("families max matches the closed form",

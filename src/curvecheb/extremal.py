@@ -32,6 +32,9 @@ NEG_INF = float("-inf")
 # ruling on near-zero leading values: below this relative size the Robin
 # constant is reported as -inf (exact delta_jk zeros land at ~1e-16)
 ROBIN_ZERO_REL = 1e-12
+# extremal_eval: a point whose residual |P| exceeds this times 1 + |z|^d is
+# off the curve
+OFF_CURVE_REL = 1e-8
 
 
 def robin_of_poly(curve, p, k):
@@ -161,18 +164,18 @@ def extremal_build(curve, K, family, k, n, opts=None):
                           cheb=solve, normalizer=solve.norm)
 
 
-def extremal_eval(approx, pts, curve=None, residual_tol=1e-8):
+def extremal_eval(approx, pts, curve=None):
     """Normalized log modulus at points of the curve.
 
-    Off-curve points (residual above tolerance) evaluate to nan; zeros of
-    the minimizer give -inf.
+    Off-curve points (residual above OFF_CURVE_REL) evaluate to nan; zeros
+    of the minimizer give -inf.
     """
     pts = np.asarray(pts, dtype=complex)
     vals = approx.evaluate(pts[:, 0], pts[:, 1])
     if curve is not None:
         res = np.abs(curve.evaluate(pts[:, 0], pts[:, 1]))
         scale = 1.0 + np.max(np.abs(pts), axis=1) ** curve.d
-        vals = np.where(res < residual_tol * scale, vals, np.nan)
+        vals = np.where(res < OFF_CURVE_REL * scale, vals, np.nan)
     return vals
 
 

@@ -16,6 +16,7 @@ keeping the points with |v2| = r2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ class Z1Disk:
 
     def __post_init__(self):
         _check_resolution(self.resolution)
-        if self.r <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class Z2Interval:
 
     def __post_init__(self):
         _check_resolution(self.resolution)
-        if not self.lo < self.hi:
-            raise ValueError("interval requires lo < hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("interval requires finite lo < hi")
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ class AbsV1V2Torus:
 
     def __post_init__(self):
         _check_resolution(self.resolution)
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise ValueError("radii must be positive")
+        _check_radii(self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ class BidiskTrace:
 
     def __post_init__(self):
         _check_resolution(self.resolution)
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise ValueError("radii must be positive")
+        _check_radii(self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,13 @@ class PointCloud:
 
 
 def _check_resolution(res):
-    if res < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
+    if not (math.isfinite(res) and res >= MIN_RESOLUTION):
+        raise ValueError(f"resolution must be finite and >= {MIN_RESOLUTION}")
+
+
+def _check_radii(*radii):
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError("radii must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,8 @@ def _finish(curve, desc, points):
     checked against the curve."""
     if not len(points):
         raise SamplingError("empty set")
+    if not np.isfinite(points).all():
+        raise SamplingError("sample has a non-finite point")
     arr = _dedupe(points)
     res = np.abs(curve.evaluate(arr[:, 0], arr[:, 1]))
     zmax = float(np.max(np.abs(arr)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvecheb import AbsV1V2Torus, BivarPoly, Z1Disk, Z2Interval, sample, sup_norm
-from curvecheb import chebyshev
+from curvecheb import chebyshev, minimax
 from curvecheb.polyring import (
     BASIS_C,
     BASIS_S,
@@ -492,7 +492,7 @@ def _random_scaling(rng, npts):
     z1 = rng.normal(size=npts) + 1j * rng.normal(size=npts)
     s0 = np.abs(s1) * (1.0 + rng.random(npts)) + 1e-3
     z0 = np.abs(z1) * (1.0 + rng.random(npts)) + 1e-3
-    return chebyshev._NTScaling(s0, s1, z0, z1, np.abs(s1), np.abs(z1))
+    return minimax._NTScaling(s0, s1, z0, z1, np.abs(s1), np.abs(z1))
 
 
 def _normal_matrix(G, W):
@@ -512,7 +512,7 @@ class TestNewtonFactor:
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(npts, m)) + 1j * rng.normal(size=(npts, m))
         W = _random_scaling(rng, npts)
-        Ms, err = chebyshev._normal_inverse(G, W)
+        Ms, err = minimax._normal_inverse(G, W)
         Mi = np.linalg.inv(_normal_matrix(G, W))
         assert np.linalg.norm(np.linalg.solve(Ms, np.eye(2 * m + 1)) - Mi) \
             <= 1e-10 * np.linalg.norm(Mi)
@@ -528,7 +528,7 @@ class TestNewtonFactor:
         # definite
         for rel in (1e-6, 1e-10, 0.0):
             G[:, 2] = G[:, 1] * (1.0 + rel)
-            Ms, err = chebyshev._normal_inverse(G, W)
+            Ms, err = minimax._normal_inverse(G, W)
             M = _normal_matrix(G, W)
             step = np.linalg.solve(Ms, M @ v)
             assert np.all(np.isfinite(step))
@@ -555,7 +555,7 @@ class TestNewtonFactor:
         lam = np.logspace(0, np.log10(smallest), 9)
         E = rng.normal(size=(9, 9))
         lam_f, V = np.linalg.eigh(Q @ np.diag(lam) @ Q.T + off * (E + E.T))
-        Ms = (V * np.maximum(lam_f, chebyshev.EPS * lam_f[-1])) @ V.T
+        Ms = (V * np.maximum(lam_f, minimax.EPS * lam_f[-1])) @ V.T
 
         def product(x):
             return Q @ (lam * (Q.T @ x))
@@ -567,7 +567,7 @@ class TestNewtonFactor:
         b = product(Q @ rng.normal(size=9))
         clipped = np.linalg.solve(Ms, b)
         assert np.linalg.norm(b - product(clipped)) > 1e-7 * np.linalg.norm(b)
-        x = chebyshev._cg(product, Ms, b, clipped, b - product(clipped), 1e-8)
+        x = minimax._cg(product, Ms, b, clipped, b - product(clipped), 1e-8)
         assert np.linalg.norm(b - product(x)) <= 1e-8 * np.linalg.norm(b)
 
     def test_conjugate_gradients_never_raise_the_residual(self):
@@ -576,7 +576,7 @@ class TestNewtonFactor:
         product, Ms, Q, rng = self._inexact_system(1e-16, 1e-6)
         b = Q @ rng.normal(size=9)
         clipped = np.linalg.solve(Ms, b)
-        x = chebyshev._cg(product, Ms, b, clipped, b - product(clipped), 1e-8)
+        x = minimax._cg(product, Ms, b, clipped, b - product(clipped), 1e-8)
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(b - product(x)) <= np.linalg.norm(b - product(clipped))
 
@@ -598,8 +598,8 @@ class TestNewtonFactor:
         lam0 = np.abs(lam1) * (1.0 + rng.random(npts)) + 1e-3
         d1 = rng.normal(size=(rows, npts)) + 1j * rng.normal(size=(rows, npts))
         d0 = lift * np.abs(d1) + 0.1 * rng.normal(size=(rows, npts))
-        a = chebyshev._max_step(lam0, lam1, (lam0 - np.abs(lam1)) * (lam0 + np.abs(lam1)),
-                                d0, d1)
+        a = minimax._max_step(lam0, lam1, (lam0 - np.abs(lam1)) * (lam0 + np.abs(lam1)),
+                              d0, d1)
         assert a > 0.0
         if np.isinf(a):
             # every ray stays inside: d in the cone, or moving away from its boundary
@@ -643,7 +643,7 @@ class TestNewtonFactor:
             scale = lam0 + np.abs(lam1) + a * (np.abs(d0) + np.abs(d1))
             return (u0 - np.abs(u1)) / scale
 
-        a = chebyshev._max_step(lam0, lam1, jnorm, d0, d1)
+        a = minimax._max_step(lam0, lam1, jnorm, d0, d1)
         assert a > 0.0
         if np.isinf(a):
             # no point moves toward its boundary
@@ -671,7 +671,7 @@ class TestNewtonFactor:
             for alpha in (0.0, 0.3, 0.9, 1.0):
                 four = ((lam0 + alpha * ds0) @ (lam0 + alpha * dz0)
                         + np.vdot(lam1 + alpha * ds1, lam1 + alpha * dz1).real) / lam2
-                one = chebyshev._rho(lam2, ds0 @ dz0 + np.vdot(ds1, dz1).real, alpha)
+                one = minimax._rho(lam2, ds0 @ dz0 + np.vdot(ds1, dz1).real, alpha)
                 assert abs(one - four) <= 1e-12 * abs(four)
 
     def test_max_step_is_inf_when_no_cone_is_hit(self):
@@ -679,8 +679,8 @@ class TestNewtonFactor:
         lam1 = rng.normal(size=20) + 1j * rng.normal(size=20)
         lam0 = 2.0 * np.abs(lam1) + 1e-3
         d1 = rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20))
-        a = chebyshev._max_step(lam0, lam1, (lam0 - np.abs(lam1)) * (lam0 + np.abs(lam1)),
-                                1.5 * np.abs(d1), d1)
+        a = minimax._max_step(lam0, lam1, (lam0 - np.abs(lam1)) * (lam0 + np.abs(lam1)),
+                              1.5 * np.abs(d1), d1)
         assert a == np.inf
 
     @pytest.mark.parametrize("k, n", [(0, 6), (2, 6), (0, 7), (1, 8), (2, 8)])
@@ -717,16 +717,14 @@ class TestNewtonFactor:
 
 
 def _solve_fg(f, G, opts=None):
-    """The _minimax kernel on the QR'd design of G: f projected off range(G)
-    as fp, Q with columns of RMS 1, and the solve, scaled back, with its
-    residual fp + Q u, its bound lb and gap = max(norm - lb, 0)."""
-    npts = len(f)
-    Q = np.linalg.qr(G)[0] * np.sqrt(npts)
-    fp = f - Q @ (Q.conj().T @ f) / npts
-    scale = float(np.max(np.abs(fp))) or 1.0
-    u, norm, lb, _, converged = chebyshev._minimax(Q, fp / scale, opts or SolverOptions())
-    return SimpleNamespace(fp=fp, Q=Q, u=u * scale, norm=norm * scale, lb=lb * scale,
-                           gap=max(norm - lb, 0.0) * scale, converged=converged)
+    """minimax.solve on the QR'd design of G: f projected off range(G) as
+    fp, Q with orthonormal columns, and the solve, with its residual
+    fp + Q u, its bound lb and gap = max(norm - lb, 0)."""
+    Q = np.linalg.qr(G)[0]
+    fp = f - Q @ (Q.conj().T @ f)
+    s = minimax.solve(Q, fp, opts or SolverOptions())
+    return SimpleNamespace(fp=fp, Q=Q, u=s.u, norm=s.norm, lb=s.lb, gap=s.gap,
+                           converged=s.converged)
 
 
 problems = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
@@ -783,7 +781,7 @@ class TestMinimaxProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 11), st.sampled_from([2, 4, 6, 500]))
     def test_dual_bound_is_below_the_attained_max(self, seed, m, max_iter):
-        # the bound as _minimax returns it, before the gap is clipped at 0; a
+        # the bound as minimax.solve returns it, before the gap is clipped at 0; a
         # square design leaves no room for it (null(G^H) = {0})
         s = _solve_fg(*_random_problem(seed, 12, m), SolverOptions(max_iter=max_iter))
         assert s.lb <= s.norm * (1 + 1e-12)

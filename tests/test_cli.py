@@ -268,6 +268,26 @@ class TestSampleAndTfd:
         assert "n_max 1000 is too high for the sample at resolution 16" in err
         assert "need 2001 for degree 1000" in err
 
+    @pytest.mark.parametrize("command", ["sample", "cheb --class mv:1", "robin", "verify"])
+    def test_non_finite_cloud_point_exits_invalid(self, capsys, tmp_path, command):
+        # the 64-point cloud on |z1| = 1.3 with one z1 made nan: sample used
+        # to print "max residual nan", cheb to exit 3 with nan norms, robin
+        # to say "p must be nonzero" and verify to die with a traceback
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "disk.json", resolution=64, n_max=6,
+                           set={"kind": "z1disk", "r": 1.3})
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "sample.txt").read_text().splitlines()
+        assert len(rows) == 65
+        cols = rows[5].split()
+        rows[5] = " ".join(["nan"] + cols[1:])
+        (tmp_path / "cloud.txt").write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path / "cloud.json", n_max=6,
+                           set={"kind": "pointcloud", "path": "cloud.txt"})
+        capsys.readouterr()
+        assert main([*command.split(), "--config", cfg]) == 2
+        assert "non-finite point" in capsys.readouterr().err
+
     def test_degree_beyond_a_point_cloud_names_the_cloud(self, capsys, tmp_path):
         (tmp_path / "cloud.txt").write_text(
             "".join(f"{np.cosh(t):.17g} 0 {np.sinh(t):.17g} 0\n"

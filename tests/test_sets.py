@@ -30,6 +30,20 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="positive"):
             AbsV1V2Torus(0.5, -0.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda x: Z1Disk(x), lambda x: Z1Disk(1.0, resolution=x),
+        lambda x: Z2Interval(x, 1.0), lambda x: Z2Interval(-1.0, x),
+        lambda x: AbsV1V2Torus(x, 0.5), lambda x: AbsV1V2Torus(0.5, x),
+        lambda x: BidiskTrace(x, 1.0), lambda x: BidiskTrace(1.0, x),
+    ], ids=["z1disk-r", "resolution", "interval-lo", "interval-hi", "torus-r1", "torus-r2",
+            "bidisk-r1", "bidisk-r2"])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, make, x):
+        # before, these reached the eigenvalue solve (LinAlgError) or an
+        # empty sample; nan passes every < or >= check
+        with pytest.raises(ValueError, match="finite"):
+            make(x)
+
 
 class TestSampling:
     def test_interval_lifts_both_branches(self, hyp):
@@ -101,6 +115,14 @@ class TestSampling:
     def test_point_cloud_validates_residual(self, hyp):
         with pytest.raises(SamplingError, match="residual"):
             sample(hyp, PointCloud(points=((1.0 + 0j, 1.0 + 0j),)))
+
+    def test_non_finite_point_rejected(self, hyp):
+        # a residual of nan passes the check max_res >= bound
+        points = [(np.cosh(t) + 0j, np.sinh(t) + 0j) for t in np.linspace(-1, 1, 17)]
+        for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            points[5] = (bad, points[5][1])
+            with pytest.raises(SamplingError, match="non-finite"):
+                sample(hyp, PointCloud(points=tuple(points)))
 
     def test_param_curve_passthrough(self, hyp):
         points = tuple((np.cosh(t) + 0j, np.sinh(t) + 0j)
