@@ -11,11 +11,17 @@ scales the columns to RMS 1 over the points, like the t column, which
 balances the Newton matrices, and f to max |f| = 1.
 
 Every iterate's max modulus is an upper bound.  The certificate is a lower
-bound: sqrt(mean |f|^2) at the start, then, once the method's own duality
-gap is below tol * t, the dual bound |y^H f| / |y|_1 of complex Chebyshev
-approximation, y the dual iterate projected onto the orthogonal complement
-of range(Q) (Rivlin and Shapiro, J. SIAM 9, 1961).  A solve is converged
-when norm <= lb * (1 + tol), and gap = norm - lb.
+bound: sqrt(mean |f|^2), or the dual bound |y^H f| / |y|_1 of complex
+Chebyshev approximation for a y in the orthogonal complement of range(Q)
+(Rivlin and Shapiro, J. SIAM 9, 1961).  It is read
+- at the start, sqrt(mean |f|^2), and where that does not certify u = 0,
+  the dual bound of the signs f / |f| on the points where |f| is within
+  tol of its max, projected onto that complement.  u = 0 is optimal
+  exactly when some nonnegative weights of those signs are orthogonal to
+  range(Q); where equal weights are, u = 0 is certified in one iteration;
+- then, once the method's own duality gap is below tol * t, the dual
+  bound of the dual iterate, projected the same way.
+A solve is converged when norm <= lb * (1 + tol), and gap = norm - lb.
 
 This module needs numpy and the standard library only: it poses nothing,
 so a (Q, f) pair can be solved, and timed, without a curve or a design.
@@ -221,6 +227,17 @@ def _cg(product, Ms, b, x, r, tol):
     return x if np.linalg.norm(b - product(x)) < res0 else x0
 
 
+def _dual_bound(y, G, GH, f):
+    """|y^H f| / |y|_1 with y projected twice onto null(G^H), G^H G = npts I.
+    Then y^H f = y^H (f + G c) for every c, so the bound is below every
+    max |f + G c| (Rivlin and Shapiro, J. SIAM 9, 1961)."""
+    npts = G.shape[0]
+    y = y - G @ (GH @ y) / npts
+    y = y - G @ (GH @ y) / npts
+    y1 = float(np.abs(y).sum())
+    return float(abs(np.vdot(y, f))) / y1 if y1 > 0.0 else 0.0
+
+
 def _minimax(G, f, opts):
     """Discrete complex minimax min_c max_i |f_i + (G c)_i|, where
     G^H G = npts I (orthogonal columns of RMS 1 over the points, which the
@@ -229,7 +246,10 @@ def _minimax(G, f, opts):
 
     Returns (c, norm, lb, iterations, converged): the best coefficients
     found, c = 0 included, their max modulus, a certified lower bound of
-    the minimum, and the solve's bookkeeping.
+    the minimum, and the solve's bookkeeping.  Iteration 1 is c = 0,
+    certified where sqrt(mean |f|^2) or the dual bound of f's extremal
+    signs meets tol; a bound that does not is dropped, so the iterations
+    that follow do not depend on it.
     """
     npts, m = G.shape
     tol = opts.tol
@@ -237,13 +257,25 @@ def _minimax(G, f, opts):
     # iteration 1: as f is orthogonal to range(G), the uniform-weight least
     # squares point is c = 0, with residual f; it is also the starting point
     c, r = np.zeros(m, dtype=complex), f
-    t, lb = float(np.max(np.abs(f))), float(np.sqrt(np.mean(np.abs(f) ** 2)))
+    f_abs = np.abs(f)
+    t, lb = float(np.max(f_abs)), float(np.sqrt(np.mean(f_abs ** 2)))
     best_c, best_ub = c, t
     iterations = 1
     converged = best_ub <= lb * (1.0 + tol)
+    GH = None
+    if not converged:
+        # c = 0 is optimal exactly when some nonnegative weights of the
+        # signs of f on its extremal points are orthogonal to range(G);
+        # with equal weights, their dual bound certifies it
+        GH = G.conj().T
+        top = f_abs >= t * (1.0 - tol)
+        y = np.zeros(npts, dtype=complex)
+        y[top] = f[top] / f_abs[top]
+        lby = _dual_bound(y, G, GH, f)
+        if best_ub <= lby * (1.0 + tol):
+            lb, converged = lby, True
     t *= T0
     z0, z1 = np.full(npts, 1.0 / npts), np.zeros(npts, dtype=complex)
-    GH = G.conj().T if not converged and opts.max_iter > 1 else None    # if the loop runs
 
     while not converged and iterations < opts.max_iter:
         # stop where rounding takes over: s or z on the boundary, or, as
@@ -324,13 +356,7 @@ def _minimax(G, f, opts):
         gap = t * float(z0.sum()) + float(np.vdot(r, z1).real)
         stalled = False
         if gap <= tol * t:
-            # dual bound: with y = z1 projected twice onto null(G^H),
-            # y^H f = y^H (f + G c) for every c, so |y^H f| / |y|_1 is below
-            # every max |f + G c|
-            y = z1 - G @ (GH @ z1) / npts
-            y = y - G @ (GH @ y) / npts
-            y1 = float(np.abs(y).sum())
-            lby = float(abs(np.vdot(y, f))) / y1 if y1 > 0.0 else 0.0
+            lby = _dual_bound(z1, G, GH, f)
             stalled = lby <= lb
             lb = max(lb, lby)
         converged = best_ub <= lb * (1.0 + tol)

@@ -176,9 +176,14 @@ class TestCheb:
                            solver={"max_iter": 2, "tol": 1e-14})
         assert main(["cheb", "--config", cfg, "--class", "mv:1",
                      "--n-max", "4", "--allow-unconverged"]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert [r.split("\t")[4] for r in rows] == ["2"] * 4
-        assert any(r.split("\t")[6] == "false" for r in rows)
+        rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4
+        # every unconverged solve stopped at the cap
+        assert all(r[4] == "2" for r in rows if r[6] == "false")
+        assert any(r[6] == "false" for r in rows)
+        # n = 1 has the bare residual as its optimum, which the signs of its
+        # extremal points certify at the closed-form start
+        assert (rows[0][1], rows[0][4], rows[0][5], rows[0][6]) == ("1", "1", "0", "true")
 
     @pytest.mark.parametrize("solver, message", [
         ({"tol": float("inf")}, "tol must be positive and finite"),

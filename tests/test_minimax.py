@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvecheb import BivarPoly, Z1Disk, chebyshev, minimax, sample
-from curvecheb.chebyshev import MQ, MRQ, SolverOptions, chebyshev_solve, class_parametrize
+from curvecheb import AbsV1V2Torus, BivarPoly, Z1Disk, chebyshev, minimax, sample
+from curvecheb.chebyshev import MQ, MRQ, SolverOptions, Zk, chebyshev_solve, class_parametrize
 from curvecheb.gallery import hyperbola, random_valid_curve
 
 OPTS = SolverOptions(max_iter=300)
@@ -38,6 +38,16 @@ BANK = {
 }
 
 
+# (iterations, norm, gap) of each bank solve: none has its optimum at u = 0,
+# so the bound tried at the closed-form start must leave every step as it was
+BANK_SOLVES = {
+    "cubic7-MQ(v1)-7": (14, 12.839184759464494, 1.2761987910892003e-07),
+    "hyperbola-MQ(v2)-18": (9, 112.4554070350378, 2.6453808743553964e-07),
+    "hyperbola-MQ(v2)-20": (9, 190.04963842542156, 1.5431204758442618e-06),
+    "quartic7-MRQ(z1^2,v1)-4": (14, 12.839184674952811, 1.2699388207693119e-07),
+}
+
+
 def pose(curve, spec, K, n):
     """(Q, f) of the class at n: the orthonormal columns of its free basis on
     K and its leading residual, as minimax_solve reads them."""
@@ -52,12 +62,12 @@ def bank_problem(request):
     curve = make_curve()
     K = sample(curve, desc)
     spec = make_spec(curve)
-    return curve, spec, K, n
+    return request.param, (curve, spec, K, n)
 
 
 class TestBank:
     def test_solve_matches_the_class_solve(self, bank_problem):
-        curve, spec, K, n = bank_problem
+        _, (curve, spec, K, n) = bank_problem
         Q, f = pose(curve, spec, K, n)
         s = minimax.solve(Q, f, OPTS)
         ref = chebyshev_solve(curve, spec, K, n, OPTS)
@@ -68,10 +78,50 @@ class TestBank:
 
     def test_posed_problem_is_orthonormal(self, bank_problem):
         # the preconditions solve states: Q^H Q = I and f orthogonal to Q
-        Q, f = pose(*bank_problem)
+        Q, f = pose(*bank_problem[1])
         m = Q.shape[1]
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(m)) <= 1e-12 * m
         assert np.linalg.norm(Q.conj().T @ f) <= 1e-12 * np.linalg.norm(f)
+
+    def test_solve_keeps_its_iterations_norm_and_gap(self, bank_problem):
+        name, problem = bank_problem
+        s = minimax.solve(*pose(*problem), OPTS)
+        iterations, norm, gap = BANK_SOLVES[name]
+        assert s.iterations == iterations
+        assert s.norm == pytest.approx(norm, rel=1e-12)
+        assert s.gap == pytest.approx(gap, abs=1e-12 * norm)
+
+
+Z1, Z2 = BivarPoly.monomial(1, 0), BivarPoly.monomial(0, 1)
+
+
+@pytest.fixture(scope="module")
+def torus512(hyp):
+    return sample(hyp, AbsV1V2Torus(0.5, 0.5, resolution=512))
+
+
+class TestClosedFormStart:
+    # on the torus of verify these solves have the bare residual as their
+    # optimum, which the interior-point method took 8 to 10 iterations to
+    # certify
+    @pytest.mark.parametrize("spec, n", [(Zk(0), 1), (Zk(1), 3), (MRQ(Z2, Z1), 3)],
+                             ids=["Zk(0)-1", "Zk(1)-3", "MRQ(z2,z1)-3"])
+    def test_bare_residual_optimum_certified_at_the_start(self, hyp, torus512, spec, n):
+        Q, f = pose(hyp, spec, torus512, n)
+        assert np.max(np.abs(f)) > 1.01 * np.sqrt(np.mean(np.abs(f) ** 2))
+        s = minimax.solve(Q, f, OPTS)
+        assert (s.iterations, s.converged) == (1, True)
+        assert np.all(s.u == 0)
+        assert s.norm == np.max(np.abs(f))
+        assert s.gap <= 1e-14 * s.norm
+
+    def test_empty_basis_certified_at_the_start(self):
+        rng = np.random.default_rng(0)
+        f = rng.normal(size=50) + 1j * rng.normal(size=50)
+        s = minimax.solve(np.zeros((50, 0), dtype=complex), f, OPTS)
+        assert (s.iterations, s.converged, s.u.shape) == (1, True, (0,))
+        assert s.norm == np.max(np.abs(f))
+        assert s.gap <= 1e-14 * s.norm
 
 
 def test_kernel_imports_no_curvecheb_module():
