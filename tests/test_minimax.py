@@ -7,6 +7,10 @@ makes of the same class, bit for bit.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +42,9 @@ BANK = {
 }
 
 
-# (iterations, norm, gap) of each bank solve: none has its optimum at u = 0,
-# so the bound tried at the closed-form start must leave every step as it was
+# (iterations, norm, gap) of each bank solve with one BLAS thread: none has
+# its optimum at u = 0, so the bound tried at the closed-form start must leave
+# every step as it was
 BANK_SOLVES = {
     "cubic7-MQ(v1)-7": (14, 12.839184759464494, 1.2761987910892003e-07),
     "hyperbola-MQ(v2)-18": (9, 112.4554070350378, 2.6453808743553964e-07),
@@ -65,6 +70,30 @@ def bank_problem(request):
     return request.param, (curve, spec, K, n)
 
 
+def bank_solves():
+    """(iterations, norm, gap) of every bank solve on a fresh design."""
+    out = {}
+    for name, (make_curve, desc, make_spec, n) in BANK.items():
+        curve = make_curve()
+        s = minimax.solve(*pose(curve, make_spec(curve), sample(curve, desc), n), OPTS)
+        out[name] = (s.iterations, s.norm, s.gap)
+    return out
+
+
+@pytest.fixture(scope="module")
+def one_thread_bank_solves():
+    """bank_solves() in a child process with one BLAS thread.  The thread
+    count sets OpenBLAS's summation order, and with it the trajectory (two
+    threads take 15 iterations on the cubic problems instead of 14), so
+    BANK_SOLVES is pinned at the one thread CI runs with."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    code = "import json, test_minimax; print(json.dumps(test_minimax.bank_solves()))"
+    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(run.stdout)
+
+
 class TestBank:
     def test_solve_matches_the_class_solve(self, bank_problem):
         _, (curve, spec, K, n) = bank_problem
@@ -83,13 +112,13 @@ class TestBank:
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(m)) <= 1e-12 * m
         assert np.linalg.norm(Q.conj().T @ f) <= 1e-12 * np.linalg.norm(f)
 
-    def test_solve_keeps_its_iterations_norm_and_gap(self, bank_problem):
-        name, problem = bank_problem
-        s = minimax.solve(*pose(*problem), OPTS)
+    def test_solve_keeps_its_iterations_norm_and_gap(self, bank_problem, one_thread_bank_solves):
+        name, _ = bank_problem
+        s_iterations, s_norm, s_gap = one_thread_bank_solves[name]
         iterations, norm, gap = BANK_SOLVES[name]
-        assert s.iterations == iterations
-        assert s.norm == pytest.approx(norm, rel=1e-12)
-        assert s.gap == pytest.approx(gap, abs=1e-12 * norm)
+        assert s_iterations == iterations
+        assert s_norm == pytest.approx(norm, rel=1e-12)
+        assert s_gap == pytest.approx(gap, abs=1e-12 * norm)
 
 
 Z1, Z2 = BivarPoly.monomial(1, 0), BivarPoly.monomial(0, 1)
