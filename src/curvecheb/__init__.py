@@ -26,6 +26,11 @@ from .sets import (
     sup_norm,
 )
 
+# chebyshev ends with an alias imported from verify, which imports chebyshev,
+# transfinite and extremal back; loading chebyshev first, whichever module is
+# asked for, lets each of them load whole
+from . import chebyshev  # noqa: F401
+
 __all__ = [
     "BivarPoly",
     "Curve",

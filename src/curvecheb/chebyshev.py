@@ -1,4 +1,5 @@
-"""Monic polynomial classes and the minimax problems they pose.
+"""Monic polynomial classes, the minimax problems they pose, and the
+sequences and constant estimates read off their solves.
 
 A class fixes a leading term and leaves lower terms free.  It is of the
 product kind (MQ, MRQ, Mz1jVk: leading term NF(R Q^n), every term of lower
@@ -15,7 +16,8 @@ class's leading residual f, the leading term projected off the free span.
 minimax_solve hands (Q, f) to minimax.solve, which certifies
 min_u max_i |f_i + (Q u)_i| by an interior-point method and a dual lower
 bound; a solve reads values only.  Polynomials, such as the minimizer
-f + sum u_i q_i, are built when read.
+f + sum u_i q_i, are built when read.  The rows that check the constants
+against each other, as `curvecheb verify` runs them, are in curvecheb.verify.
 """
 
 from __future__ import annotations
@@ -613,199 +615,6 @@ def descending_direction_order(curve, estimates):
     return [i for group in tie_groups(rhos, phases) for i in group]
 
 
-# ---------------------------------------------------------------------------
-# Comparison report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Assertion:
-    name: str
-    kind: str      # "eq" within rel tol, "le" with slack, "lt" strictly below
-    lhs: float
-    rhs: float
-    tol: float
-    passed: bool
-    note: str = ""
-
-
-@dataclass
-class ComparisonReport:
-    assertions: list
-    table: list    # rows (class label, n, norm, tn)
-
-    @property
-    def all_passed(self):
-        return all(a.passed for a in self.assertions)
-
-    def failures(self):
-        return [a for a in self.assertions if not a.passed]
-
-
-def _assert_eq(name, lhs, rhs, tol, note=""):
-    denom = max(abs(rhs), 1e-300)
-    return Assertion(name, "eq", float(lhs), float(rhs), tol,
-                     abs(lhs - rhs) <= tol * denom, note)
-
-
-def _assert_le(name, lhs, rhs, slack, note=""):
-    return Assertion(name, "le", float(lhs), float(rhs), slack,
-                     lhs <= rhs * (1.0 + slack) + 1e-300, note)
-
-
-# verify bands, each scaled by --tolerance-scale
-EQ_TOL = 0.10        # equality of constants and of the two diameters, relative
-INEQ_SLACK = 0.02    # inequalities, discretization slack
-EXACT_TOL = 1e-9     # finite-n scale invariances
-DIAMETER_TOL = 0.15  # diameter against the directional product, relative
-LIMIT_SLACK = 0.05   # finite-n against the limit: tau ratios (relative), the
-                     # Robin cross-check and the families gap (absolute)
-
-
-def comparison_report(curve, K, max_n, opts=None, tol_scale=1.0):
-    """Numerical check of the relations between the Chebyshev constants.
-
-    Covers the prefactor scale laws, the product and sum comparisons, the
-    identification of the directional constants with the z1-power classes,
-    and the matching of the S-ordering constants with the directional ones
-    under the descending labeling (including their monotonicity).
-    """
-    curve.require_directional("comparison report")
-    d = curve.d
-    eq_tol = EQ_TOL * tol_scale
-    ineq = INEQ_SLACK * tol_scale
-    exact = EXACT_TOL * tol_scale
-    asserts = []
-    table = []
-
-    def run_seq(spec, top):
-        """The solves of spec at n = 1..top, added to the table."""
-        seq = chebyshev_sequence(curve, spec, K, range(1, top + 1), opts)
-        table.extend((spec.describe(), s.n, s.norm, s.tn) for s in seq)
-        return seq
-
-    # directional constants and their ordering
-    dir_ests = directional_constants(curve, K, max_n, opts)
-    for k, est in enumerate(dir_ests, start=1):
-        table.extend((f"M(v{k})", s.n, float("nan"), s.tn) for s in est.solves)
-    order = descending_direction_order(curve, dir_ests)
-    t_sorted = [dir_ests[i].estimate for i in order]
-
-    # S-ordering constants
-    z_ests = ordered_constants(curve, K, max_n, opts)
-    table.extend((e.spec.describe(), s.n, s.norm, s.tn) for e in z_ests for s in e.solves)
-
-    for k in range(1, d + 1):
-        asserts.append(
-            _assert_eq(
-                f"S-ordering constant {k - 1} matches direction constant rank {k}",
-                z_ests[k - 1].estimate,
-                t_sorted[k - 1],
-                eq_tol,
-            )
-        )
-    asserts.append(
-        _assert_eq(
-            "first S-ordering constant equals the largest directional constant",
-            z_ests[0].estimate,
-            max(e.estimate for e in dir_ests),
-            eq_tol,
-        )
-    )
-    for k in range(1, d):
-        asserts.append(
-            _assert_le(
-                f"S-ordering constants non-increasing at {k}",
-                z_ests[k].estimate,
-                z_ests[k - 1].estimate,
-                ineq,
-            )
-        )
-
-    # directional constant as a z1-power class with prefactor v_k
-    for k in range(1, d + 1):
-        seq = run_seq(MRQ(curve.dirbasis[k - 1], BivarPoly.monomial(1, 0)), max(4, max_n - d + 1))
-        est = constant_estimate(seq)
-        asserts.append(
-            _assert_eq(
-                f"v{k}-prefactor z1-power class matches direction constant {k}",
-                est.estimate,
-                dir_ests[k - 1].estimate,
-                eq_tol,
-            )
-        )
-
-    # monomial prefactors of total degree <= d-2 leave the constant alone
-    n_top = max(3, max_n // (d - 1))
-    for k in range(1, d + 1):
-        for j1 in range(d - 1):
-            for j2 in range(d - 1 - j1):
-                est = constant_estimate(
-                    run_seq(MRQ(BivarPoly.monomial(j1, j2), curve.dirbasis[k - 1]), n_top))
-                asserts.append(
-                    _assert_eq(
-                        f"monomial prefactor z1^{j1} z2^{j2} keeps direction constant {k}",
-                        est.estimate,
-                        dir_ests[k - 1].estimate,
-                        eq_tol,
-                    )
-                )
-
-    # scale laws at every n on identical samples
-    z1m = BivarPoly.monomial(1, 0)
-    base = run_seq(MRQ(BivarPoly.monomial(0, 1), z1m), 6)
-    scaled_r = run_seq(MRQ(BivarPoly.monomial(0, 1) * 3.0, z1m), 6)
-    for s0, s1 in zip(base, scaled_r):
-        asserts.append(
-            _assert_eq(
-                f"prefactor scale drops out at n={s0.n}",
-                s1.tn,
-                s0.tn,
-                exact,
-            )
-        )
-    lam = 2j
-    base_q = run_seq(MRQ(BivarPoly.constant(1.0), z1m), 6)
-    scaled_q = run_seq(MRQ(BivarPoly.constant(1.0), z1m * lam), 6)
-    for s0, s1 in zip(base_q, scaled_q):
-        asserts.append(
-            _assert_eq(
-                f"base scale multiplies tn by |lambda| at n={s0.n}",
-                s1.tn,
-                abs(lam) * s0.tn,
-                exact,
-            )
-        )
-
-    # product prefactor never increases the constant
-    r1 = BivarPoly.monomial(0, 1)
-    r2 = BivarPoly.monomial(1, 0)
-    e_r1 = constant_estimate(run_seq(MRQ(r1, z1m), max(4, max_n - 1)))
-    e_r1r2 = constant_estimate(run_seq(MRQ(r1 * r2, z1m), max(4, max_n - 2)))
-    asserts.append(
-        _assert_le("product prefactor does not increase the constant",
-                   e_r1r2.estimate, e_r1.estimate, ineq)
-    )
-
-    # absorbing a power of the base into the prefactor changes nothing
-    e_rq = constant_estimate(run_seq(MRQ(r1 * z1m, z1m), max(4, max_n - 2)))
-    asserts.append(
-        _assert_eq("prefactor absorbed into the base keeps the constant",
-                   e_rq.estimate, e_r1.estimate, eq_tol)
-    )
-
-    # sum of equal-degree prefactors: finite-n bound with the 2^(1/deg) factor
-    e_r2 = run_seq(MRQ(r2, z1m), 6)
-    e_r1n = base  # same class as MRQ(z2, z1) above
-    e_sum = run_seq(MRQ(r1 + r2, z1m), 6)
-    for s_sum, s_a, s_b in zip(e_sum, e_r1n, e_r2):
-        bound = 2.0 ** (1.0 / s_sum.total_degree) * max(s_a.tn, s_b.tn)
-        asserts.append(
-            _assert_le(
-                f"sum prefactor bound at n={s_sum.n}",
-                s_sum.tn,
-                bound,
-                ineq,
-            )
-        )
-
-    return ComparisonReport(assertions=asserts, table=table)
+# perfbench/spans.py traces comparison_report under this name; ROADMAP item 6
+# deletes the alias
+from .verify import comparison_report  # noqa: E402,F401

@@ -1,6 +1,8 @@
 """Command-line front end: config handling, experiments, reports.
 
 Subcommands: curve-info, sample, cheb, robin, tfd, extremal, verify.
+verify writes the rows and table of curvecheb.verify, the solver health
+line of its sweep() and the exit code.
 Exit codes: 0 pass, 1 assertion failure, 2 invalid input, 3 numerical
 failure or non-convergence.  Reports are plain text with tab-separated
 records and fixed float formatting, so identical configs produce
@@ -33,26 +35,11 @@ from .sets import (
     sample,
     write_point_cloud,
 )
-from .chebyshev import (
-    DIAMETER_TOL,
-    EQ_TOL,
-    LIMIT_SLACK,
-    MQ,
-    Assertion,
-    Mz1jVk,
-    SolverOptions,
-    TildeMl,
-    Zk,
-    _assert_eq,
-    _assert_le,
-    chebyshev_sequence,
-    comparison_report,
-    sweep,
-    sweep_solves,
-    tau_sequence,
-)
-from .transfinite import leja_start, leja_extend, transfinite_diameter, vn_tau_check, block_counts
-from .extremal import OracleError, oracle_eval, probe_points, robin_constants, vk_max
+from .chebyshev import (MQ, Mz1jVk, SolverOptions, TildeMl, Zk, chebyshev_sequence, sweep,
+                        sweep_solves)
+from .transfinite import transfinite_diameter
+from .extremal import PROBE_COUNT, PROBE_RADII, probe_points, robin_constants, vk_max
+from .verify import verify_report
 
 CONFIG_SCHEMA = "curvecheb.config/1"
 
@@ -60,11 +47,6 @@ EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
-
-# the off-set points extremal and verify evaluate at: probe_points(curve,
-# PROBE_RADII, PROBE_COUNT), on the circles |z1| = r
-PROBE_RADII = (1.5, 2.5, 4.0)
-PROBE_COUNT = 48
 
 
 class ConfigError(ValueError):
@@ -421,63 +403,7 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
         raise ConfigError(f"--tolerance-scale must be finite and >= 0, not {tol_scale!r}")
     curve = cfg.build_curve()
     K = sample(curve, cfg.build_descriptor())
-    assertions = []
-    table_lines = ["class\tn\tnorm\ttn"]
-    # one greedy S-basis run serves the tau ratio check and the S diameter:
-    # it ends on a complete degree block, and its picks are incremental
-    depth_tau = min(cfg.n_max, 8)
-    m_tau, _ = block_counts(curve, BASIS_S, depth_tau)
-    run = leja_extend(leja_start(curve, K, BASIS_S), m_tau)
-    # the directional constants, read by the diameter rows too
-    robin = robin_constants(curve, K, cfg.n_max, cfg.solver,
-                            directions=cfg.directions)
-
-    if curve.dirbasis is not None:
-        rep = comparison_report(curve, K, cfg.n_max, cfg.solver, tol_scale=tol_scale)
-        assertions.extend(rep.assertions)
-        for label, n, norm, tn in rep.table:
-            table_lines.append(f"{label}\t{n}\t{_fmt(norm)}\t{_fmt(tn)}")
-
-        product = float(np.prod([e.t_estimate for e in robin.per_direction])) ** (1.0 / curve.d)
-        depth = max(cfg.n_max, 24)
-        m_needed, _ = block_counts(curve, BASIS_S, depth)
-        if m_needed <= len(K.points):
-            dS, _ = transfinite_diameter(curve, K, BASIS_S, depth, run=run)
-            dC, _ = transfinite_diameter(curve, K, BASIS_C, depth)
-            assertions.append(_assert_eq("diameter agrees between orderings", dS, dC,
-                                         EQ_TOL * tol_scale))
-            assertions.append(_assert_eq("diameter matches directional product (S)",
-                                         dS, product, DIAMETER_TOL * tol_scale))
-            assertions.append(_assert_eq("diameter matches directional product (C)",
-                                         dC, product, DIAMETER_TOL * tol_scale))
-
-    # tau ratio inequality along the S ordering
-    taus = tau_sequence(curve, K, BASIS_S, m_tau, cfg.solver)
-    limit_slack = LIMIT_SLACK * tol_scale
-    for rec in vn_tau_check(run, taus, slack=limit_slack):
-        assertions.append(_assert_le(f"determinant ratio bound at index {rec.index}",
-                                     rec.ratio, rec.bound, limit_slack))
-
-    for i, e in enumerate(robin.per_direction, start=1):
-        # |rho| < inf: the row checks finiteness and nothing else
-        assertions.append(Assertion(
-            name=f"robin constant finite for direction {i}",
-            kind="lt", lhs=abs(e.rho), rhs=math.inf, tol=0.0,
-            passed=math.isfinite(e.rho),
-        ))
-        if math.isfinite(e.discrepancy):
-            assertions.append(_assert_le(f"robin cross-check for direction {i}",
-                                         e.discrepancy, limit_slack, 0.0))
-
-    try:
-        pts = probe_points(curve, PROBE_RADII, PROBE_COUNT)
-        oracle_eval(K.descriptor, pts, curve=curve)
-        rep = vk_max(curve, K, cfg.n_max, pts, cfg.solver, robin=robin)
-        assertions.append(_assert_le("families max matches the closed form",
-                                     rep.gap_families, limit_slack, 0.0))
-    except OracleError:
-        pass
-
+    assertions, table = verify_report(curve, K, cfg.n_max, cfg.solver, tol_scale, cfg.directions)
     lines = ["name\tkind\tlhs\trhs\ttol\tverdict"]
     for a in assertions:
         lines.append(f"{a.name}\t{a.kind}\t{_fmt(a.lhs)}\t{_fmt(a.rhs)}"
@@ -488,7 +414,8 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
     print("\n".join(lines))
     if out:
         _write_lines(Path(out) / "verify_report.txt", lines)
-        _write_lines(Path(out) / "verify_table.tsv", table_lines)
+        _write_lines(Path(out) / "verify_table.tsv", ["class\tn\tnorm\ttn"] + [
+            f"{label}\t{n}\t{_fmt(norm)}\t{_fmt(tn)}" for label, n, norm, tn in table])
     # the sweep holds every solve, the tau solves included, once per problem
     solves = sweep_solves()
     n_unconverged = sum(not s.converged for s in solves)

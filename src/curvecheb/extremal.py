@@ -315,6 +315,12 @@ def oracle_eval(descriptor, pts, curve=None):
     raise OracleError(f"no oracle for {type(descriptor).__name__}")
 
 
+# the off-set points extremal and verify evaluate at: probe_points(curve,
+# PROBE_RADII, PROBE_COUNT), on the circles |z1| = r
+PROBE_RADII = (1.5, 2.5, 4.0)
+PROBE_COUNT = 48
+
+
 def probe_points(curve, radii, count):
     """Points of the curve on |z1| = r circles, for off-set evaluation."""
     per = max(1, count // (len(radii) * max(curve.d, 1)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polyring import basis_enumerate, basis_through_degree, generator_reach, parent_rule
-from .chebyshev import LIMIT_SLACK, Tau, basis_values
+from .chebyshev import Tau, basis_values
 from .sets import SampleTooSmall
 
 NEG_INF = float("-inf")
@@ -226,7 +226,7 @@ class VnTauRecord:
     passed: bool
 
 
-def vn_tau_check(run, tau_solves, slack=LIMIT_SLACK):
+def vn_tau_check(run, tau_solves, slack):
     """Check V_n / V_{n-1} <= n * tau_n^deg(b_n) * (1 + slack) per index.
 
     The greedy V is only a lower bound of the true sup, so violations

@@ -353,6 +353,42 @@ class TestVerify:
         solves, unconverged, worst, _ = self._health(capsys.readouterr().out)
         assert solves > 0 and unconverged == 0 and worst <= 1e-8
 
+    # the torus config's rows and table keys (class, n), in the order verify
+    # writes them; perfbench's verify-torus check finds rows by name
+    TORUS_ROWS = (
+        [f"S-ordering constant {k} matches direction constant rank {k + 1}" for k in (0, 1)]
+        + ["first S-ordering constant equals the largest directional constant",
+           "S-ordering constants non-increasing at 1"]
+        + [f"v{k}-prefactor z1-power class matches direction constant {k}" for k in (1, 2)]
+        + [f"monomial prefactor z1^0 z2^0 keeps direction constant {k}" for k in (1, 2)]
+        + [f"prefactor scale drops out at n={n}" for n in range(1, 7)]
+        + [f"base scale multiplies tn by |lambda| at n={n}" for n in range(1, 7)]
+        + ["product prefactor does not increase the constant",
+           "prefactor absorbed into the base keeps the constant"]
+        + [f"sum prefactor bound at n={n}" for n in range(1, 7)]
+        + ["diameter agrees between orderings", "diameter matches directional product (S)",
+           "diameter matches directional product (C)"]
+        + [f"determinant ratio bound at index {i}" for i in range(1, 18)]
+        + [f"robin {row} for direction {k}" for k in (1, 2)
+           for row in ("constant finite", "cross-check")]
+        + ["families max matches the closed form"])
+    TORUS_TABLE = [(label, n) for label, top in (
+        ("M(v1)", 10), ("M(v2)", 10), ("Z(0)", 10), ("Z(1)", 9),
+        ("M_0.5*z1-0.5*z2(1*z1)", 9), ("M_0.5*z1+0.5*z2(1*z1)", 9),
+        ("M_1(0.5*z1-0.5*z2)", 10), ("M_1(0.5*z1+0.5*z2)", 10),
+        ("M_1*z2(1*z1)", 6), ("M_3*z2(1*z1)", 6), ("M_1(1*z1)", 6), ("M_1((0+2i)*z1)", 6),
+        ("M_1*z2(1*z1)", 9), ("M_1*z1z2(1*z1)", 8), ("M_1*z1z2(1*z1)", 8),
+        ("M_1*z1(1*z1)", 6), ("M_1*z1+1*z2(1*z1)", 6)) for n in range(1, top + 1)]
+
+    def test_torus_rows_and_table_keep_their_order(self, tmp_path, torus_config):
+        out = tmp_path / "rep"
+        assert main(["verify", "--config", torus_config, "--out", str(out)]) == 0
+        report = (out / "verify_report.txt").read_text().splitlines()
+        assert len(self.TORUS_ROWS) == 53
+        assert [line.split("\t")[0] for line in report[1:-1]] == self.TORUS_ROWS
+        table = [line.split("\t") for line in (out / "verify_table.tsv").read_text().splitlines()]
+        assert [(label, int(n)) for label, n, _, _ in table[1:]] == self.TORUS_TABLE
+
     def test_asymmetric_torus_passes(self, capsys, tmp_path):
         # |v1| = 1, |v2| = 1/4: T = (1, 1/4), the one example whose
         # directional constants are untied, so the strict ordering is run

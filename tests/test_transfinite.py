@@ -26,6 +26,7 @@ from curvecheb.transfinite import (
     transfinite_diameter,
     vn_tau_check,
 )
+from curvecheb.verify import LIMIT_SLACK
 
 
 class TestLogVdm:
@@ -300,7 +301,7 @@ class TestVnTau:
         run = leja_start(hyp, torus_set, BASIS_S)
         leja_extend(run, m8)
         taus = tau_sequence(hyp, torus_set, BASIS_S, m8)
-        recs = vn_tau_check(run, taus)
+        recs = vn_tau_check(run, taus, LIMIT_SLACK)
         assert len(recs) == m8
         assert all(r.passed for r in recs)
 
@@ -311,7 +312,7 @@ class TestVnTau:
         taus = tau_sequence(hyp, torus_set, BASIS_S, m5)
         for t in taus:
             t.norm /= 2 ** max(t.total_degree, 1)
-        recs = vn_tau_check(run, taus)
+        recs = vn_tau_check(run, taus, LIMIT_SLACK)
         assert any(not r.passed for r in recs)
 
     def test_alignment_enforced(self, hyp, torus_set):
@@ -319,5 +320,5 @@ class TestVnTau:
         leja_extend(run, 3)
         taus = tau_sequence(hyp, torus_set, BASIS_C, 3)
         with pytest.raises(ValueError, match="align"):
-            vn_tau_check(run, taus)
+            vn_tau_check(run, taus, LIMIT_SLACK)
 
