@@ -7,8 +7,8 @@ degree free) or of the position kind (Zk, TildeMl, Tau: an element of a
 graded basis, the elements before it free; Tau(B) at n is the n-th element
 of B, whose norm is tau_n^deg).  T_n values are the n-th roots of the
 minimal sup norms over a SampledSet, n the degree of the leading term in
-the coordinate ring.  In a sweep(), as in `curvecheb verify`, each minimax
-problem is solved once, whichever class poses it.
+the coordinate ring.  Each minimax problem on a sample is solved once,
+whichever class poses it, and the solve is kept on the sample.
 
 Each problem is posed on the orthonormal design Q of its basis on K, built
 by Arnoldi once per (K, basis) and cached on K (_Design), which holds the
@@ -23,8 +23,6 @@ against each other, as `curvecheb verify` runs them, are in curvecheb.verify.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -83,6 +81,11 @@ class _Product:
     of this kind gives its prefactor R, which needs no curve, and
     base(curve) -> Q, checking its indices (by default its own q)."""
 
+    @property
+    def powers(self):
+        """True when R is constant: the class is the powers of one Q."""
+        return self.prefactor.degree == 0
+
     def base(self, curve):
         return self.q
 
@@ -116,6 +119,8 @@ class _Position:
     """Leading term the index-th element of basis B, the elements before it
     free.  A class of this kind gives position(curve, n) -> (B, index),
     checking its indices."""
+
+    powers = False
 
     def degree(self, curve, n):
         """The degree of the element."""
@@ -406,10 +411,11 @@ def _design(curve, K, basis_id):
     return K._cache.setdefault((id(curve), basis_id), _Design(curve, K.points, basis_id))
 
 
-def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n=None):
+def minimax_solve(leading, free_basis, K, opts=None, *, curve, spec=None, n=None):
     """Chebyshev polynomial of the affine family leading + span(free_basis).
 
-    leading is a BivarPoly in normal form; free_basis a graded basis prefix.
+    leading is a BivarPoly in normal form on curve, K a sample of it, and
+    free_basis a graded basis prefix (an empty one is posed on the S design).
     The leading residual and total degree are the class spec's at parameter
     n, or without a spec leading projected and its degree.  The ChebSolve's
     tn is norm ** (1/total_degree).
@@ -439,47 +445,27 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve=None, spec=None, n
 # Sequences and constants
 # ---------------------------------------------------------------------------
 
-_SWEEP_SOLVES = ContextVar("sweep_solves", default=None)
-
-
-@contextmanager
-def sweep():
-    """Scope in which each minimax problem is solved once, whichever class
-    poses it.  A problem is the curve and set (by identity), the leading
-    term, the free basis (a graded basis prefix: basis id and length) and
-    the options.  Its first poser supplies the leading residual; later ones
-    get that solve under their own spec and n.  A failed solve is not
-    kept."""
-    token = _SWEEP_SOLVES.set({})
-    try:
-        yield
-    finally:
-        _SWEEP_SOLVES.reset(token)
-
-
-def sweep_solves():
-    """The solves kept so far by the enclosing sweep(), one per problem."""
-    return [solve for solve, _, _ in _SWEEP_SOLVES.get().values()]
-
-
 def chebyshev_solve(curve, spec, K, n, opts=None):
-    """One minimax solve for the class at parameter n; in a sweep(), once
-    per problem, labelled with spec and n."""
+    """One minimax solve for the class at parameter n, labelled with spec and n.
+
+    A problem is the leading term, the free basis (a graded basis prefix:
+    its design on K and its length) and the options.  Its first poser
+    solves it and the solve is kept on K; later posers get that solve
+    under their own spec and n.  A failed solve is not kept.
+    """
     leading, free = class_parametrize(curve, spec, n)
-
-    def solve():
-        return minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n)
-
-    memo = _SWEEP_SOLVES.get()
-    if memo is None:
-        return solve()
-    # the memo holds curve and K, so their ids are not reused while it lives
-    key = (id(curve), id(K), leading, free[0].basis_id if free else None, len(free),
-           opts or SolverOptions())
-    if key not in memo:
-        memo[key] = (solve(), curve, K)
-    hit = memo[key][0]
+    opts = opts or SolverOptions()
+    # K's design of the free basis holds the curve, so its id is not reused
+    key = (id(curve), free[0].basis_id if free else BASIS_S, len(free), leading, opts)
+    if key not in K._solves:
+        K._solves[key] = minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n)
+    hit = K._solves[key]
     return hit if (hit.spec, hit.n) == (spec, n) else replace(hit, spec=spec, n=n)
+
+
+def solves_on(K):
+    """The solves kept on K, one per problem, in the order first posed."""
+    return list(K._solves.values())
 
 
 def chebyshev_sequence(curve, spec, K, n_range, opts=None):
@@ -499,8 +485,8 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
 def tau_sequence(curve, K, basis_id, count, opts=None):
     """Solves of Tau(basis_id) at the first `count` positions.
 
-    Position 1 has degree 0 and carries no tn.  In a sweep() a position
-    shares its solve with any class posing the same problem, such as the
+    Position 1 has degree 0 and carries no tn.  A position shares its
+    solve with any class posing the same problem on K, such as the
     matching Zk class of the S basis.
     """
     return chebyshev_sequence(curve, Tau(basis_id), K, range(1, count + 1), opts)
@@ -532,7 +518,7 @@ def constant_estimate(seq):
     if len(seq) < 3:
         raise ValueError("need at least 3 solves to estimate a constant")
     spec = seq[0].spec
-    if isinstance(spec, _Product) and spec.prefactor.degree == 0:
+    if spec.powers:
         method = "infRule"
         estimate = min(s.tn for s in seq)
         tail = seq

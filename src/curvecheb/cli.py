@@ -2,7 +2,7 @@
 
 Subcommands: curve-info, sample, cheb, robin, tfd, extremal, verify.
 verify writes the rows and table of curvecheb.verify, the solver health
-line of its sweep() and the exit code.
+line of the solves on its sample and the exit code.
 Exit codes: 0 pass, 1 assertion failure, 2 invalid input, 3 numerical
 failure or non-convergence.  Reports are plain text with tab-separated
 records and fixed float formatting, so identical configs produce
@@ -35,8 +35,7 @@ from .sets import (
     sample,
     write_point_cloud,
 )
-from .chebyshev import (MQ, Mz1jVk, SolverOptions, TildeMl, Zk, chebyshev_sequence, sweep,
-                        sweep_solves)
+from .chebyshev import MQ, Mz1jVk, SolverOptions, TildeMl, Zk, chebyshev_sequence, solves_on
 from .transfinite import transfinite_diameter
 from .extremal import PROBE_COUNT, PROBE_RADII, probe_points, robin_constants, vk_max
 from .verify import verify_report
@@ -397,7 +396,6 @@ def cmd_extremal(cfg, out, n):
     return EXIT_OK
 
 
-@sweep()
 def cmd_verify(cfg, out, tol_scale, allow_unconverged):
     if not (math.isfinite(tol_scale) and tol_scale >= 0):
         raise ConfigError(f"--tolerance-scale must be finite and >= 0, not {tol_scale!r}")
@@ -416,8 +414,8 @@ def cmd_verify(cfg, out, tol_scale, allow_unconverged):
         _write_lines(Path(out) / "verify_report.txt", lines)
         _write_lines(Path(out) / "verify_table.tsv", ["class\tn\tnorm\ttn"] + [
             f"{label}\t{n}\t{_fmt(norm)}\t{_fmt(tn)}" for label, n, norm, tn in table])
-    # the sweep holds every solve, the tau solves included, once per problem
-    solves = sweep_solves()
+    # the sample holds every solve, the tau solves included, once per problem
+    solves = solves_on(K)
     n_unconverged = sum(not s.converged for s in solves)
     worst = max((s.gap / s.norm for s in solves if s.norm > 0), default=0.0)
     print(f"solver health: {len(solves)} solves, {n_unconverged} unconverged, "

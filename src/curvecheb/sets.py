@@ -125,9 +125,12 @@ class SampledSet:
     descriptor: object
     curve: object
     max_residual: float
-    # orthonormal designs (chebyshev._design), built lazily; not part of the
-    # set's value
+    # orthonormal designs (chebyshev._design), built lazily, and the solve of
+    # each problem posed on them (chebyshev.chebyshev_solve); not part of the
+    # set's value.  A solve refers to its design, so the solves are kept here,
+    # not on the design, where they would form a reference cycle.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) == 0:

@@ -8,7 +8,7 @@ rows, in the order the report prints them.  Both return (assertions,
 table), the table holding (class label, n, norm, tn) for the sequences
 the comparison report reads.
 
-The solves run in a fixed order.  In a sweep() a problem is solved once,
+The solves run in a fixed order.  A problem on a sample is solved once,
 on the design its first poser grew, and a solve's bits depend on the
 order in which that design's columns were asked for.
 """

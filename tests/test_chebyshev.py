@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +35,7 @@ from curvecheb.chebyshev import (
     constant_estimate,
     descending_direction_order,
     minimax_solve,
+    solves_on,
     tau_sequence,
 )
 from curvecheb.verify import comparison_report
@@ -842,8 +845,10 @@ class TestSequencesAndEstimates:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(chebyshev, "minimax_solve", failing)
+        # a fresh sample: torus_set keeps the solves other tests made on it
+        K = sample(hyp, torus_set.descriptor)
         with pytest.raises(np.linalg.LinAlgError):
-            chebyshev_sequence(hyp, MQ(hyp.dirbasis[0]), torus_set, range(1, 4))
+            chebyshev_sequence(hyp, MQ(hyp.dirbasis[0]), K, range(1, 4))
 
     def test_criterion_4_cubic_solves_converge(self, cubic7):
         # the solves behind the cubic part of acceptance criterion 4
@@ -931,6 +936,14 @@ class TestComparisonReport:
 
 
 class TestSweep:
+    """Each minimax problem on a sample is solved once, whichever class poses
+    it, and the solve is kept on the sample's design."""
+
+    @pytest.fixture
+    def K(self, hyp):
+        """A sample of its own, so it keeps no solve of another test."""
+        return sample(hyp, AbsV1V2Torus(0.5, 0.5, resolution=256))
+
     @pytest.fixture
     def solves(self, monkeypatch):
         """The class parameter of every minimax_solve call."""
@@ -944,92 +957,97 @@ class TestSweep:
         monkeypatch.setattr(chebyshev, "minimax_solve", counting)
         return calls
 
-    def test_repeat_is_solved_once(self, hyp, torus_set_small, solves):
+    def test_repeat_is_solved_once(self, hyp, K, solves):
         spec = MQ(hyp.dirbasis[0])
-        with chebyshev.sweep():
-            a = chebyshev_solve(hyp, spec, torus_set_small, 3)
-            b = chebyshev_solve(hyp, spec, torus_set_small, 3, SolverOptions())
-            seq = chebyshev_sequence(hyp, spec, torus_set_small, range(2, 5))
+        a = chebyshev_solve(hyp, spec, K, 3)
+        b = chebyshev_solve(hyp, spec, K, 3, SolverOptions())
+        seq = chebyshev_sequence(hyp, spec, K, range(2, 5))
         assert b is a and seq[1] is a
         assert solves == [3, 2, 4]
 
-    def test_options_and_set_are_part_of_the_key(self, hyp, torus_set_small, disk1_set, solves):
+    def test_options_and_set_are_part_of_the_key(self, hyp, K, solves):
         spec = Zk(0)
-        with chebyshev.sweep():
-            chebyshev_solve(hyp, spec, torus_set_small, 2)
-            chebyshev_solve(hyp, spec, torus_set_small, 2, SolverOptions(max_iter=50))
-            chebyshev_solve(hyp, spec, disk1_set, 2)
-            chebyshev_solve(hyp, spec, disk1_set, 2)
+        disk = sample(hyp, Z1Disk(1.0, resolution=256))
+        chebyshev_solve(hyp, spec, K, 2)
+        chebyshev_solve(hyp, spec, K, 2, SolverOptions(max_iter=50))
+        chebyshev_solve(hyp, spec, disk, 2)
+        chebyshev_solve(hyp, spec, disk, 2)
         assert solves == [2, 2, 2]
 
-    def test_outside_a_sweep_every_call_solves(self, hyp, torus_set_small, solves):
+    def test_each_sample_keeps_its_own_solves(self, hyp, K, solves):
         spec = MQ(hyp.dirbasis[0])
-        chebyshev_solve(hyp, spec, torus_set_small, 2)
-        chebyshev_solve(hyp, spec, torus_set_small, 2)
-        with chebyshev.sweep():
-            chebyshev_solve(hyp, spec, torus_set_small, 2)
-        chebyshev_solve(hyp, spec, torus_set_small, 2)
-        assert solves == [2, 2, 2, 2]
+        again = sample(hyp, K.descriptor)
+        assert np.array_equal(again.points, K.points)
+        for L in (K, K, again, K, again):
+            chebyshev_solve(hyp, spec, L, 2)
+        assert solves == [2, 2]
+        assert len(solves_on(K)) == len(solves_on(again)) == 1
 
     def test_failed_solve_is_not_kept(self, hyp, solves):
         K = sample(hyp, Z1Disk(1.0, resolution=16))
-        with chebyshev.sweep():
-            for _ in range(2):
-                # the 31 points cannot carry the 39 free elements at n = 20
-                with pytest.raises(ValueError, match="must not exceed the sample"):
-                    chebyshev_sequence(hyp, Zk(0), K, [1, 20])
+        for _ in range(2):
+            # the 31 points cannot carry the 39 free elements at n = 20
+            with pytest.raises(ValueError, match="must not exceed the sample"):
+                chebyshev_sequence(hyp, Zk(0), K, [1, 20])
         assert solves == [1, 20, 20]
+        assert [s.n for s in solves_on(K)] == [1]
 
-    def test_classes_posing_one_problem_share_a_solve(self, hyp, torus_set_small, solves):
+    def test_classes_posing_one_problem_share_a_solve(self, hyp, K, solves):
         v1 = hyp.dirbasis[0]
         specs = [MQ(v1), MRQ(BivarPoly.constant(1.0), v1), Mz1jVk(0, 1)]
-        with chebyshev.sweep():
-            out = [chebyshev_solve(hyp, spec, torus_set_small, 3) for spec in specs]
-            assert len(chebyshev.sweep_solves()) == 1
+        out = [chebyshev_solve(hyp, spec, K, 3) for spec in specs]
+        assert len(solves_on(K)) == 1
         assert solves == [3]
         assert [s.spec for s in out] == specs
         assert all(s.n == 3 and s.norm == out[0].norm for s in out)
 
-    def test_product_and_position_classes_share_a_solve(self, hyp, torus_set_small, solves):
-        with chebyshev.sweep():
-            a = chebyshev_solve(hyp, MRQ(Z1, Z1), torus_set_small, 2)
-            b = chebyshev_solve(hyp, Zk(0), torus_set_small, 3)
+    def test_product_and_position_classes_share_a_solve(self, hyp, K, solves):
+        a = chebyshev_solve(hyp, MRQ(Z1, Z1), K, 2)
+        b = chebyshev_solve(hyp, Zk(0), K, 3)
         assert solves == [2]
         assert (b.spec, b.n) == (Zk(0), 3)
         assert (b.norm, b.total_degree) == (a.norm, a.total_degree)
 
-    def test_tau_positions_reuse_class_solves(self, hyp, torus_set_small, solves):
-        with chebyshev.sweep():
-            z0 = chebyshev_sequence(hyp, Zk(0), torus_set_small, range(1, 4))
-            z1 = chebyshev_sequence(hyp, Zk(1), torus_set_small, range(1, 3))
-            del solves[:]
-            taus = tau_sequence(hyp, torus_set_small, BASIS_S, 7)
+    def test_tau_positions_reuse_class_solves(self, hyp, K, solves):
+        z0 = chebyshev_sequence(hyp, Zk(0), K, range(1, 4))
+        z1 = chebyshev_sequence(hyp, Zk(1), K, range(1, 3))
+        del solves[:]
+        taus = tau_sequence(hyp, K, BASIS_S, 7)
         # positions 2, 4, 6 are z1^n (Zk(0)) and 5, 7 are z2 z1^n (Zk(1))
         assert solves == [1, 3]
         assert [(t.spec, t.n) for t in taus] == [(Tau(BASIS_S), j) for j in range(1, 8)]
         assert [taus[j - 1].norm for j in (2, 4, 6, 5, 7)] == [s.norm for s in z0 + z1]
 
-    def test_relabelled_hit_is_a_copy(self, hyp, torus_set_small, solves):
+    def test_relabelled_hit_is_a_copy(self, hyp, K, solves):
         v1 = hyp.dirbasis[0]
         relabelled = MRQ(BivarPoly.constant(1.0), v1)
-        with chebyshev.sweep():
-            a = chebyshev_solve(hyp, MQ(v1), torus_set_small, 2)
-            norm = a.norm
-            b = chebyshev_solve(hyp, relabelled, torus_set_small, 2)
-            assert b is not a
-            b.norm, b.converged = -1.0, False
-            assert chebyshev_solve(hyp, MQ(v1), torus_set_small, 2) is a
-            assert chebyshev_solve(hyp, relabelled, torus_set_small, 2).norm == norm
-            assert chebyshev.sweep_solves() == [a]
+        a = chebyshev_solve(hyp, MQ(v1), K, 2)
+        norm = a.norm
+        b = chebyshev_solve(hyp, relabelled, K, 2)
+        assert b is not a
+        b.norm, b.converged = -1.0, False
+        assert chebyshev_solve(hyp, MQ(v1), K, 2) is a
+        assert chebyshev_solve(hyp, relabelled, K, 2).norm == norm
+        assert solves_on(K) == [a]
         assert (a.spec, a.norm, a.converged) == (MQ(v1), norm, True)
         assert solves == [2]
 
-    def test_same_leading_term_in_other_basis_is_another_problem(
-            self, hyp, torus_set_small, solves):
+    def test_dropping_the_sample_frees_its_designs(self, hyp):
+        K = sample(hyp, AbsV1V2Torus(0.5, 0.5, resolution=256))
+        chebyshev_solve(hyp, MQ(hyp.dirbasis[0]), K, 2)
+        design = weakref.ref(next(iter(K._cache.values())))
+        # freed by reference counting: a kept solve forms no cycle with its design
+        gc.disable()
+        try:
+            del K
+            assert design() is None
+        finally:
+            gc.enable()
+
+    def test_same_leading_term_in_other_basis_is_another_problem(self, hyp, K, solves):
         specs = [Mz1jVk(0, 1), TildeMl(0, 1)]
         (la, fa), (lb, fb) = (class_parametrize(hyp, s, 3) for s in specs)
         assert la == lb and len(fa) == len(fb)
-        with chebyshev.sweep():
-            for spec in specs:
-                chebyshev_solve(hyp, spec, torus_set_small, 3)
+        for spec in specs:
+            chebyshev_solve(hyp, spec, K, 3)
         assert solves == [3, 3]

@@ -351,7 +351,8 @@ class TestVerify:
         report = (out / "verify_report.txt").read_text()
         assert "FAIL" not in report
         solves, unconverged, worst, _ = self._health(capsys.readouterr().out)
-        assert solves > 0 and unconverged == 0 and worst <= 1e-8
+        # 80 distinct problems, each solved once whichever class poses it
+        assert solves == 80 and unconverged == 0 and worst <= 1e-8
 
     # the torus config's rows and table keys (class, n), in the order verify
     # writes them; perfbench's verify-torus check finds rows by name
