@@ -15,9 +15,11 @@ by Arnoldi once per (K, basis) and cached on K (_Design), which holds the
 class's leading residual f, the leading term projected off the free span.
 minimax_solve hands (Q, f) to minimax.solve, which certifies
 min_u max_i |f_i + (Q u)_i| by an interior-point method and a dual lower
-bound; a solve reads values only.  Polynomials, such as the minimizer
-f + sum u_i q_i, are built when read.  The rows that check the constants
-against each other, as `curvecheb verify` runs them, are in curvecheb.verify.
+bound; a solve reads values only.  A sequence poses all its problems
+first, and minimax.dispatch may solve some in worker processes, with the
+same bits.  Polynomials, such as the minimizer f + sum u_i q_i, are built
+when read.  The rows that check the constants against each other, as
+`curvecheb verify` runs them, are in curvecheb.verify.
 """
 
 from __future__ import annotations
@@ -411,16 +413,10 @@ def _design(curve, K, basis_id):
     return K._cache.setdefault((id(curve), basis_id), _Design(curve, K.points, basis_id))
 
 
-def minimax_solve(leading, free_basis, K, opts=None, *, curve, spec=None, n=None):
-    """Chebyshev polynomial of the affine family leading + span(free_basis).
-
-    leading is a BivarPoly in normal form on curve, K a sample of it, and
-    free_basis a graded basis prefix (an empty one is posed on the S design).
-    The leading residual and total degree are the class spec's at parameter
-    n, or without a spec leading projected and its degree.  The ChebSolve's
-    tn is norm ** (1/total_degree).
-    """
-    opts = (opts or SolverOptions()).validated()
+def _pose(leading, free_basis, K, *, curve, spec, n):
+    """The problem of minimax_solve's arguments on K: its design, the
+    columns Q of the free basis and the leading residual's (values,
+    polynomial builder)."""
     npts, m = len(K.points), len(free_basis)
     if m > npts:
         raise SampleTooSmall(f"free basis ({m}) must not exceed the sample ({npts})")
@@ -432,33 +428,56 @@ def minimax_solve(leading, free_basis, K, opts=None, *, curve, spec=None, n=None
     Q = design.columns(m)
     fp, build = (design.read(design.project(leading, None, Q)[0]) if spec is None
                  else spec.leading_residual(curve, n, K))
-    sol = minimax.solve(Q, fp, opts)
+    return design, Q, fp, build
+
+
+def minimax_solve(leading, free_basis, K, opts=None, *, curve, spec=None, n=None, job=None):
+    """Chebyshev polynomial of the affine family leading + span(free_basis).
+
+    leading is a BivarPoly in normal form on curve, K a sample of it, and
+    free_basis a graded basis prefix (an empty one is posed on the S design).
+    The leading residual and total degree are the class spec's at parameter
+    n, or without a spec leading projected and its degree.  The problem is
+    solved here, or read off the job a sequence started for it
+    (minimax.dispatch).  The ChebSolve's tn is norm ** (1/total_degree).
+    """
+    opts = (opts or SolverOptions()).validated()
+    design, Q, fp, build = _pose(leading, free_basis, K, curve=curve, spec=spec, n=n)
+    sol = minimax.solve(Q, fp, opts) if job is None else job.result()
 
     total_degree = int(leading.degree) if spec is None else spec.degree(curve, n)
     tn = sol.norm ** (1.0 / total_degree) if total_degree > 0 else float("nan")
     return ChebSolve(spec=spec, n=n if n is not None else 0, total_degree=total_degree,
                      norm=sol.norm, tn=tn, iterations=sol.iterations, converged=sol.converged,
-                     ridge_used=Q.shape[1] < m, gap=sol.gap, parts=(build, design.combine, sol.u))
+                     ridge_used=Q.shape[1] < len(free_basis), gap=sol.gap,
+                     parts=(build, design.combine, sol.u))
 
 
 # ---------------------------------------------------------------------------
 # Sequences and constants
 # ---------------------------------------------------------------------------
 
-def chebyshev_solve(curve, spec, K, n, opts=None):
+def _key(curve, leading, free, opts):
+    """The problem: the leading term, the free basis (a graded basis prefix:
+    its design on K, which holds the curve, and its length) and the options."""
+    return (id(curve), free[0].basis_id if free else BASIS_S, len(free), leading, opts)
+
+
+def chebyshev_solve(curve, spec, K, n, opts=None, *, started=None):
     """One minimax solve for the class at parameter n, labelled with spec and n.
 
-    A problem is the leading term, the free basis (a graded basis prefix:
-    its design on K and its length) and the options.  Its first poser
-    solves it and the solve is kept on K; later posers get that solve
-    under their own spec and n.  A failed solve is not kept.
+    Its first poser solves a problem (_key) and the solve is kept on K;
+    later posers get that solve under their own spec and n.  A failed
+    solve is not kept.  started, from chebyshev_sequence, is the class
+    parametrization at n and the job of its problem (None where the
+    problem was on K).
     """
-    leading, free = class_parametrize(curve, spec, n)
     opts = opts or SolverOptions()
-    # K's design of the free basis holds the curve, so its id is not reused
-    key = (id(curve), free[0].basis_id if free else BASIS_S, len(free), leading, opts)
+    leading, free, job = started or (*class_parametrize(curve, spec, n), None)
+    key = _key(curve, leading, free, opts)
     if key not in K._solves:
-        K._solves[key] = minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n)
+        K._solves[key] = minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
+                                       job=job)
     hit = K._solves[key]
     return hit if (hit.spec, hit.n) == (spec, n) else replace(hit, spec=spec, n=n)
 
@@ -468,18 +487,55 @@ def solves_on(K):
     return list(K._solves.values())
 
 
+def _start_sequence(curve, spec, K, n_range, opts):
+    """{n: (leading, free, job)} for the parameters of a sequence, the job
+    None where the problem is on K already.
+
+    The problems are posed in ascending n, so the designs grow in the order
+    the solves one by one would grow them, and each (Q, f) has the same
+    bits.  Each closed-form start runs here, and minimax.dispatch shares
+    the rest with the worker processes.  Posing stops at the first
+    parameter that cannot be posed: chebyshev_solve meets its error there,
+    after the solves before it, as without the start.
+    """
+    posed, starts = {}, {}
+    try:
+        for n in n_range:
+            leading, free = class_parametrize(curve, spec, n)
+            posed[n] = leading, free, None
+            if _key(curve, leading, free, opts) not in K._solves:
+                _, Q, fp, _ = _pose(leading, free, K, curve=curve, spec=spec, n=n)
+                starts[n] = minimax.Start(Q, fp, opts.validated())
+    except Exception:   # raised again where chebyshev_solve meets it
+        pass
+    for n, job in zip(starts, minimax.dispatch(list(starts.values()))):
+        posed[n] = (*posed[n][:2], job)
+    return posed
+
+
 def chebyshev_sequence(curve, spec, K, n_range, opts=None):
     """One solve per class parameter.
 
-    The first parameter whose class cannot be set up or solved raises, so
-    no constant is estimated from a sequence with a hole in it.
+    The problems not yet on K are started together and the uncertified ones
+    shared with worker processes (minimax.dispatch); one chebyshev_solve
+    per parameter, in order, then reads them.  The first parameter whose
+    class cannot be set up or solved raises, so no constant is estimated
+    from a sequence with a hole in it, and the jobs after it are cancelled.
     """
     n_range = list(n_range)
     if not n_range:
         raise ValueError("empty parameter range")
     if any(b <= a for a, b in zip(n_range, n_range[1:])):
         raise ValueError("parameter range must be increasing")
-    return [chebyshev_solve(curve, spec, K, n, opts) for n in n_range]
+    opts = opts or SolverOptions()
+    posed = _start_sequence(curve, spec, K, n_range, opts)
+    try:
+        return [chebyshev_solve(curve, spec, K, n, opts, started=posed.get(n))
+                for n in n_range]
+    finally:
+        for _, _, job in posed.values():
+            if job is not None:
+                job.cancel()
 
 
 def tau_sequence(curve, K, basis_id, count, opts=None):

@@ -23,14 +23,24 @@ Chebyshev approximation for a y in the orthogonal complement of range(Q)
   bound of the dual iterate, projected the same way.
 A solve is converged when norm <= lb * (1 + tol), and gap = norm - lb.
 
+solve is Start(Q, f, opts).result(): a Start is the scaled problem after
+its iteration 1 (_start), and result() runs the interior-point loop.
+dispatch shares the Starts that iteration 1 did not certify between this
+process and worker processes forked from it (workers(): Linux, BLAS at
+one thread, a CPU each).  A worker takes the same steps on the same
+values, so a Solution is the same bit for bit wherever it was solved.
+
 This module needs numpy and the standard library only: it poses nothing,
 so a (Q, f) pair can be solved, and timed, without a curve or a design.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -68,6 +78,9 @@ class SolverOptions:
 EPS = np.finfo(float).eps
 T0 = 1.5                # starting t over the max modulus of f
 STEP = 0.99             # fraction of the step to the cone boundary taken
+# an iteration's O(N) work, in units of its O(N m^2) work: at N = 1023 one
+# took about 0.47 + 0.0007 m^2 ms
+ITER_M2 = 670
 
 
 class _NTScaling:
@@ -238,43 +251,49 @@ def _dual_bound(y, G, GH, f):
     return float(abs(np.vdot(y, f))) / y1 if y1 > 0.0 else 0.0
 
 
-def _minimax(G, f, opts):
+def _start(G, f, tol):
+    """Iteration 1 of _minimax, whose G and f it takes: as f is orthogonal
+    to range(G), the uniform-weight least squares point is c = 0, with
+    residual f.  Returns (ub, lb, converged): max |f|, the bound
+    sqrt(mean |f|^2) or, where that does not certify c = 0, the dual bound
+    of f's extremal signs if that does, and whether c = 0 is certified.  A
+    bound that does not certify is dropped, so the iterations that follow
+    do not depend on it."""
+    f_abs = np.abs(f)
+    ub, lb = float(np.max(f_abs)), float(np.sqrt(np.mean(f_abs ** 2)))
+    if ub <= lb * (1.0 + tol):
+        return ub, lb, True
+    # c = 0 is optimal exactly when some nonnegative weights of the signs
+    # of f on its extremal points are orthogonal to range(G); with equal
+    # weights, their dual bound certifies it
+    top = f_abs >= ub * (1.0 - tol)
+    y = np.zeros(len(f), dtype=complex)
+    y[top] = f[top] / f_abs[top]
+    lby = _dual_bound(y, G, G.conj().T, f)
+    if ub <= lby * (1.0 + tol):
+        return ub, lby, True
+    return ub, lb, False
+
+
+def _minimax(G, f, opts, ub, lb):
     """Discrete complex minimax min_c max_i |f_i + (G c)_i|, where
     G^H G = npts I (orthogonal columns of RMS 1 over the points, which the
     projection of the dual bound relies on), f is orthogonal to them and
-    max |f| = 1.
+    max |f| = 1, by the interior-point method from c = 0, whose iteration 1
+    (_start) gave the bounds ub and lb without certifying it.
 
     Returns (c, norm, lb, iterations, converged): the best coefficients
     found, c = 0 included, their max modulus, a certified lower bound of
-    the minimum, and the solve's bookkeeping.  Iteration 1 is c = 0,
-    certified where sqrt(mean |f|^2) or the dual bound of f's extremal
-    signs meets tol; a bound that does not is dropped, so the iterations
-    that follow do not depend on it.
+    the minimum, and the solve's bookkeeping.
     """
     npts, m = G.shape
     tol = opts.tol
-
-    # iteration 1: as f is orthogonal to range(G), the uniform-weight least
-    # squares point is c = 0, with residual f; it is also the starting point
+    GH = G.conj().T
     c, r = np.zeros(m, dtype=complex), f
-    f_abs = np.abs(f)
-    t, lb = float(np.max(f_abs)), float(np.sqrt(np.mean(f_abs ** 2)))
-    best_c, best_ub = c, t
+    best_c, best_ub = c, ub
     iterations = 1
-    converged = best_ub <= lb * (1.0 + tol)
-    GH = None
-    if not converged:
-        # c = 0 is optimal exactly when some nonnegative weights of the
-        # signs of f on its extremal points are orthogonal to range(G);
-        # with equal weights, their dual bound certifies it
-        GH = G.conj().T
-        top = f_abs >= t * (1.0 - tol)
-        y = np.zeros(npts, dtype=complex)
-        y[top] = f[top] / f_abs[top]
-        lby = _dual_bound(y, G, GH, f)
-        if best_ub <= lby * (1.0 + tol):
-            lb, converged = lby, True
-    t *= T0
+    converged = False
+    t = ub * T0
     z0, z1 = np.full(npts, 1.0 / npts), np.zeros(npts, dtype=complex)
 
     while not converged and iterations < opts.max_iter:
@@ -382,12 +401,137 @@ class Solution(NamedTuple):
         return max(self.norm - self.lb, 0.0)
 
 
+class Start:
+    """The problem min_u max_i |f_i + (Q u)_i| after its closed-form
+    iteration 1 (_start), whose bounds it keeps.  result() runs the
+    interior-point loop where iteration 1 certified nothing, and cancel()
+    does nothing: a Start answers both as the Future of a worker's solve
+    of it does.  It holds Q and f as given, which the design that posed
+    them holds too, and scales them where it solves them."""
+
+    def __init__(self, Q, f, opts):
+        self.Q, self.f, self.opts = Q, f, opts
+        self.fscale = float(np.max(np.abs(f))) or 1.0
+        self.ub, self.lb, self.converged = _start(*self.scaled(), opts.tol)
+
+    def scaled(self):
+        """(G, f) as _minimax takes them: Q's columns scaled to RMS 1 over the
+        points like the t column, which balances the Newton matrices, and f
+        to max |f| = 1."""
+        return self.Q * np.sqrt(len(self.f)), self.f / self.fscale
+
+    @property
+    def cost(self):
+        """N (m^2 + ITER_M2), about the time of an iteration."""
+        npts, m = self.Q.shape
+        return npts * (m * m + ITER_M2)
+
+    def result(self):
+        """The Solution, solved in this process."""
+        if self.converged:
+            c, norm, lb, iterations, converged = (np.zeros(self.Q.shape[1], dtype=complex),
+                                                  self.ub, self.lb, 1, True)
+        else:
+            G, f = self.scaled()
+            c, norm, lb, iterations, converged = _minimax(G, f, self.opts, self.ub, self.lb)
+        scale = self.fscale
+        return Solution(c * (scale * np.sqrt(len(self.f))), norm * scale, lb * scale,
+                        iterations, converged)
+
+    def cancel(self):
+        return False
+
+
 def solve(Q, f, opts):
     """min_u max_i |f_i + (Q u)_i| for Q of orthonormal columns (N x m) and
     f (N) orthogonal to them, under SolverOptions opts."""
-    fscale = float(np.max(np.abs(f))) or 1.0
-    # Q * rms has columns of RMS 1 over the points like the t column: balanced
-    # Newton matrices
-    rms = np.sqrt(len(f))
-    u, norm, lb, iterations, converged = _minimax(Q * rms, f / fscale, opts)
-    return Solution(u * (fscale * rms), norm * fscale, lb * fscale, iterations, converged)
+    return Start(Q, f, opts).result()
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+# the variables OpenBLAS reads its thread count from, the first one set first
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_POOL = None            # the worker processes, started on first need
+
+
+def workers():
+    """The worker processes dispatch shares solves with: one per usable CPU
+    beyond this process, on Linux where BLAS runs one thread per process
+    (OPENBLAS_NUM_THREADS=1).  Elsewhere 0, and every solve runs in
+    process: with two OpenBLAS threads per process, one worker made the
+    criterion-4 cubic solves 2 to 12 times slower on two CPUs."""
+    threads = next((v for v in map(os.environ.get, BLAS_THREAD_VARS) if v), None)
+    if sys.platform != "linux" or threads != "1":
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+def dispatch(starts):
+    """A job per Start, in order, whose result() is its Solution.
+
+    The starts iteration 1 did not certify are split between this process
+    and the workers(): largest N m^2 first, each goes to the workers while
+    that lowers the larger of the two shares of the time, this process
+    keeping the smallest.  The workers' share goes to the pool in the order
+    given, and this process solves its own as a caller reads the jobs in
+    that order, so both run at once.  A solve takes the same steps in a
+    worker as here, so the Solutions are the same bit for bit.
+    """
+    jobs, k = list(starts), workers()
+    if k:
+        open_ = sorted((i for i, s in enumerate(starts) if not s.converged),
+                       key=lambda i: -starts[i].cost)
+        here, share, remote = sum(starts[i].cost for i in open_), 0, []
+        for i in open_:
+            cost = starts[i].cost
+            if max(here - cost, (share + cost) / k) >= max(here, share / k):
+                break
+            here, share = here - cost, share + cost
+            remote.append(i)
+        for i in sorted(remote):
+            jobs[i] = _submit(starts[i], k)
+    return jobs
+
+
+def _submit(start, workers):
+    """A Future of start.result() in a pool of that many fork workers.  The
+    pool starts on first need (importing it costs about 20 ms), and again
+    after a worker died, and is shut down at exit."""
+    global _POOL
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    if _POOL is not None:
+        try:
+            return _POOL.submit(Start.result, start)
+        except BrokenProcessPool:       # a worker died: the pool takes no more work
+            pass
+    else:
+        atexit.register(_shutdown)
+    _POOL = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                initializer=_exit_with, initargs=(os.getpid(),))
+    return _POOL.submit(Start.result, start)
+
+
+def _shutdown():
+    """Join the workers and drop the pool while the modules it needs are
+    still there: collected at the interpreter's teardown, it reports an
+    error."""
+    global _POOL
+    if _POOL is not None:
+        _POOL.shutdown()
+        _POOL = None
+
+
+def _exit_with(parent):
+    """Worker initializer: the kernel kills this worker when the parent ends,
+    even where a signal skips the pool's shutdown at exit."""
+    import ctypes
+    import signal
+
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)      # PR_SET_PDEATHSIG
+    if os.getppid() != parent:      # the parent ended before that took hold
+        os._exit(0)

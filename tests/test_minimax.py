@@ -9,6 +9,7 @@ makes of the same class, bit for bit.
 import ast
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvecheb import AbsV1V2Torus, BivarPoly, Z1Disk, chebyshev, minimax, sample
+from curvecheb import AbsV1V2Torus, BivarPoly, Z1Disk, chebyshev, cli, minimax, sample
 from curvecheb.chebyshev import MQ, MRQ, SolverOptions, Zk, chebyshev_solve, class_parametrize
 from curvecheb.gallery import hyperbola, random_valid_curve
+from curvecheb.polyring import curve_records
 
 OPTS = SolverOptions(max_iter=300)
 TOL = OPTS.tol
@@ -163,3 +165,241 @@ def test_kernel_imports_no_curvecheb_module():
             imported.add("." * node.level + (node.module or ""))
     assert not any(name.startswith((".", "curvecheb")) for name in imported), imported
 
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+def child(code, blas_threads="1", timeout=300):
+    """The JSON of the last stdout line of `code` run in a child interpreter
+    at that many BLAS threads, with this directory importable."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               MKL_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+                         capture_output=True, text=True, timeout=timeout)
+    assert run.returncode == 0, run.stderr[-2000:]
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+needs_workers = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="worker processes run on Linux with at least 2 usable CPUs")
+
+
+def fingerprint(u, norm, lb, iterations, converged):
+    """The bits of a solve."""
+    return [u.tobytes().hex(), float(norm).hex(), float(lb).hex(), int(iterations),
+            bool(converged)]
+
+
+def sequence_cases():
+    """(name, curve, set, class, parameters) of the sequences compared."""
+    hyp, cubic = hyperbola(), random_valid_curve(3, seed=7)
+    torus, disk = AbsV1V2Torus(0.5, 0.5, resolution=512), Z1Disk(1.2, resolution=1024)
+    return [("torus-Z(0)", hyp, torus, Zk(0), range(1, 11)),
+            ("cubic7-Z(0)", cubic, disk, Zk(0), range(1, 13)),
+            ("cubic7-Z(1)", cubic, disk, Zk(1), range(1, 12)),
+            ("cubic7-M(v1)", cubic, disk, MQ(cubic.dirbasis[0]), range(1, 7))]
+
+
+def pose_sequence(curve, spec, desc, n_range):
+    """The (Q, f) of each parameter on a fresh sample, posed in ascending n as
+    a sequence poses them."""
+    K = sample(curve, desc)
+    return [pose(curve, spec, K, n) for n in n_range]
+
+
+def worker_solves(one_cpu=False):
+    """What a process makes of the bank and of the sequence_cases, in and out
+    of the worker pool: the number of workers, whether a pool started, how
+    many solves went to it, and the bits of each solve
+
+    - bank: minimax.solve, and a pool worker's solve where there is one;
+    - dispatch: every sequence's problems through minimax.dispatch, and
+      through minimax.solve;
+    - sequence: chebyshev_sequence on a fresh sample, and minimax.solve of
+      its problems (with its gap in place of lb).
+    one_cpu leaves the process one usable CPU first."""
+    if one_cpu:
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+    out = {"workers": minimax.workers(), "remote": 0, "bank": {}, "dispatch": {},
+           "sequence": {}}
+    for name, (make_curve, desc, make_spec, n) in BANK.items():
+        curve = make_curve()
+        Q, f = pose(curve, make_spec(curve), sample(curve, desc), n)
+        solves = [minimax.solve(Q, f, OPTS)]
+        if out["workers"]:
+            solves.append(minimax._submit(minimax.Start(Q, f, OPTS), out["workers"]).result())
+        out["bank"][name] = [[fingerprint(*s) for s in solves]]
+    for name, curve, desc, spec, n_range in sequence_cases():
+        problems = pose_sequence(curve, spec, desc, n_range)
+        jobs = minimax.dispatch([minimax.Start(Q, f, OPTS) for Q, f in problems])
+        out["remote"] += sum(not isinstance(job, minimax.Start) for job in jobs)
+        out["dispatch"][name] = [
+            [fingerprint(*job.result()), fingerprint(*minimax.solve(Q, f, OPTS))]
+            for job, (Q, f) in zip(jobs, problems)]
+        seq = chebyshev.chebyshev_sequence(curve, spec, sample(curve, desc), n_range, OPTS)
+        out["sequence"][name] = [
+            [fingerprint(s.parts[2], s.norm, s.gap, s.iterations, s.converged),
+             fingerprint(r.u, r.norm, r.gap, r.iterations, r.converged)]
+            for s, r in zip(seq, (minimax.solve(Q, f, OPTS) for Q, f in problems))]
+    out["pool"] = minimax._POOL is not None
+    return out
+
+
+def worker_solves_in_child(blas_threads="1", one_cpu=False):
+    return child(f"import json, test_minimax; "
+                 f"print(json.dumps(test_minimax.worker_solves({one_cpu})))", blas_threads)
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    return worker_solves_in_child()
+
+
+def assert_pairs_equal(out):
+    """Every pair of solves of the same problem has the same bits."""
+    for part in ("bank", "dispatch", "sequence"):
+        for name, pairs in out[part].items():
+            for i, pair in enumerate(pairs):
+                assert all(p == pair[0] for p in pair), (part, name, i)
+
+
+@needs_workers
+class TestWorkers:
+    def test_pooled_solves_are_bit_identical(self, pooled):
+        assert pooled["workers"] == len(os.sched_getaffinity(0)) - 1
+        assert pooled["pool"] and pooled["remote"] > 0
+        assert all(len(pair) == 2 for [pair] in pooled["bank"].values())
+        assert_pairs_equal(pooled)
+
+    def test_one_cpu_starts_no_pool_and_solves_the_same(self, pooled):
+        alone = worker_solves_in_child(one_cpu=True)
+        assert (alone["workers"], alone["pool"], alone["remote"]) == (0, False, 0)
+        assert_pairs_equal(alone)
+        # one BLAS thread either way: the same bits as the pooled solves
+        assert alone["sequence"] == pooled["sequence"]
+        assert alone["dispatch"] == pooled["dispatch"]
+
+    def test_multi_thread_blas_starts_no_pool(self):
+        # a BLAS thread count sets the summation order, so these bits are
+        # compared with the same process's own solves only
+        out = worker_solves_in_child(blas_threads="2")
+        assert (out["workers"], out["pool"], out["remote"]) == (0, False, 0)
+        assert_pairs_equal(out)
+
+
+def write_config(path, curve, set_spec, **extra):
+    path.write_text(json.dumps({"schema": "curvecheb.config/1",
+                                "curve": {"terms": curve_records(curve.defining)},
+                                "set": set_spec, **extra}))
+    return str(path)
+
+
+def failing_worker(kind, cubic_config):
+    """chebyshev_sequence of Zk(1), n = 1..11, on the cubic of seed 7, with
+    _minimax patched before the pool forks to fail in a worker: raise
+    LinAlgError ("raise") or die by SIGKILL ("kill").
+
+    Returns the parameters minimax_solve was called at, those whose
+    problems went to the workers, the error raised, the parameters of the
+    solves on K, and what `curvecheb cheb` on cubic_config exits with.
+    Then, the patch gone, whether the sequence solves as minimax.solve."""
+    parent, real = os.getpid(), minimax._minimax
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if kind == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise np.linalg.LinAlgError("failed in a worker")
+        return real(*args)
+
+    calls, remote = [], []
+    real_solve, real_submit = chebyshev.minimax_solve, minimax._submit
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["n"])
+        return real_solve(*args, **kwargs)
+
+    def submitting(start, workers):
+        remote.append(start.Q.shape[1])
+        return real_submit(start, workers)
+
+    minimax._minimax, chebyshev.minimax_solve, minimax._submit = failing, counting, submitting
+    curve, spec, n_range = random_valid_curve(3, seed=7), Zk(1), range(1, 12)
+    desc = Z1Disk(1.2, resolution=1024)
+    by_m = {len(class_parametrize(curve, spec, n)[1]): n for n in n_range}
+    K = sample(curve, desc)
+    out = {"error": None}
+    try:
+        chebyshev.chebyshev_sequence(curve, spec, K, n_range, OPTS)
+    except Exception as exc:
+        out["error"] = [type(exc).__name__, isinstance(exc, RuntimeError)]
+    out.update(calls=list(calls), remote=sorted(by_m[m] for m in remote),
+               solves=[s.n for s in chebyshev.solves_on(K)])
+    out["cli"] = cli.main(["cheb", "--config", cubic_config, "--class", "zk:1", "--n-max", "11"])
+
+    # the workers forked with the patch keep it: the next ones fork without
+    minimax._minimax, chebyshev.minimax_solve = real, real_solve
+    minimax._shutdown()
+    seq = chebyshev.chebyshev_sequence(curve, spec, sample(curve, desc), n_range, OPTS)
+    out["recovered"] = [
+        fingerprint(s.parts[2], s.norm, s.gap, s.iterations, s.converged)
+        == fingerprint(r.u, r.norm, r.gap, r.iterations, r.converged)
+        for s, r in zip(seq, (minimax.solve(Q, f, OPTS)
+                              for Q, f in pose_sequence(curve, spec, desc, n_range)))]
+    return out
+
+
+@pytest.fixture
+def cubic_config(tmp_path):
+    return write_config(tmp_path / "cubic.json", random_valid_curve(3, seed=7),
+                        {"kind": "z1disk", "r": 1.2}, resolution=1024, n_max=12,
+                        solver={"max_iter": 300})
+
+
+def failing_worker_in_child(kind, cubic_config):
+    # bounded: a sequence whose worker died must raise, not wait for it
+    return child(f"import json, test_minimax; print(json.dumps("
+                 f"test_minimax.failing_worker({kind!r}, {cubic_config!r})))", timeout=120)
+
+
+@needs_workers
+class TestWorkerFailures:
+    def test_worker_error_is_raised_at_its_parameter(self, cubic_config):
+        out = failing_worker_in_child("raise", cubic_config)
+        first = out["remote"][0]
+        # the solves before it are made and kept, in ascending n
+        assert out["error"] == ["LinAlgError", False]
+        assert out["calls"] == list(range(1, first + 1))
+        assert out["solves"] == list(range(1, first))
+        assert out["cli"] == 3
+        assert out["recovered"] == [True] * 11
+
+    def test_killed_worker_raises_instead_of_hanging(self, cubic_config):
+        out = failing_worker_in_child("kill", cubic_config)
+        first = out["remote"][0]
+        # BrokenProcessPool is a RuntimeError: the CLI exits 3 on it
+        assert out["error"] == ["BrokenProcessPool", True]
+        assert out["calls"] == list(range(1, first + 1))
+        assert out["solves"] == list(range(1, first))
+        assert out["cli"] == 3
+        # a new pool serves the sequences after it
+        assert out["recovered"] == [True] * 11
+
+
+@needs_workers
+def test_no_worker_outlives_its_interpreter(tmp_path):
+    config = write_config(tmp_path / "torus.json", hyperbola(),
+                          {"kind": "absv1v2torus", "r1": 0.5, "r2": 0.5},
+                          resolution=512, n_max=10)
+    out = child("import json, multiprocessing; from curvecheb import cli; "
+                f"rc = cli.main(['verify', '--config', {config!r}]); "
+                "print(json.dumps({'rc': rc, "
+                "'pids': [p.pid for p in multiprocessing.active_children()]}))")
+    assert out["rc"] == 0 and out["pids"]
+    for pid in out["pids"]:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
