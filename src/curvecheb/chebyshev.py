@@ -13,13 +13,14 @@ whichever class poses it, and the solve is kept on the sample.
 Each problem is posed on the orthonormal design Q of its basis on K, built
 by Arnoldi once per (K, basis) and cached on K (_Design), which holds the
 class's leading residual f, the leading term projected off the free span.
-minimax_solve hands (Q, f) to minimax.solve, which certifies
+chebyshev_sequence, the one path from a class to a kept solve, poses each
+problem once and hands (Q, f) to minimax, which certifies
 min_u max_i |f_i + (Q u)_i| by an interior-point method and a dual lower
-bound; a solve reads values only.  A sequence poses all its problems
-first, and minimax.dispatch may solve some in worker processes, with the
-same bits.  Polynomials, such as the minimizer f + sum u_i q_i, are built
-when read.  The rows that check the constants against each other, as
-`curvecheb verify` runs them, are in curvecheb.verify.
+bound; a solve reads values only.  minimax.dispatch may solve a sequence's
+problems in worker processes, with the same bits.  Polynomials, such as
+the minimizer f + sum u_i q_i, are built when read.  The rows that check
+the constants against each other, as `curvecheb verify` runs them, are in
+curvecheb.verify.
 """
 
 from __future__ import annotations
@@ -431,19 +432,24 @@ def _pose(leading, free_basis, K, *, curve, spec, n):
     return design, Q, fp, build
 
 
-def minimax_solve(leading, free_basis, K, opts=None, *, curve, spec=None, n=None, job=None):
+def minimax_solve(leading, free_basis, K, opts=None, *, curve, spec=None, n=None, posed=None):
     """Chebyshev polynomial of the affine family leading + span(free_basis).
 
     leading is a BivarPoly in normal form on curve, K a sample of it, and
     free_basis a graded basis prefix (an empty one is posed on the S design).
     The leading residual and total degree are the class spec's at parameter
-    n, or without a spec leading projected and its degree.  The problem is
-    solved here, or read off the job a sequence started for it
-    (minimax.dispatch).  The ChebSolve's tn is norm ** (1/total_degree).
+    n, or without a spec leading projected and its degree.  posed, from
+    chebyshev_sequence, is the problem as _pose gave it and its job
+    (minimax.dispatch); without it the problem is posed and started here.
+    The ChebSolve's tn is norm ** (1/total_degree).
     """
     opts = (opts or SolverOptions()).validated()
-    design, Q, fp, build = _pose(leading, free_basis, K, curve=curve, spec=spec, n=n)
-    sol = minimax.solve(Q, fp, opts) if job is None else job.result()
+    if posed is None:
+        design, Q, fp, build = _pose(leading, free_basis, K, curve=curve, spec=spec, n=n)
+        job = minimax.Start(Q, fp, opts)
+    else:
+        design, Q, fp, build, job = posed
+    sol = job.result()
 
     total_degree = int(leading.degree) if spec is None else spec.degree(curve, n)
     tn = sol.norm ** (1.0 / total_degree) if total_degree > 0 else float("nan")
@@ -463,23 +469,9 @@ def _key(curve, leading, free, opts):
     return (id(curve), free[0].basis_id if free else BASIS_S, len(free), leading, opts)
 
 
-def chebyshev_solve(curve, spec, K, n, opts=None, *, started=None):
-    """One minimax solve for the class at parameter n, labelled with spec and n.
-
-    Its first poser solves a problem (_key) and the solve is kept on K;
-    later posers get that solve under their own spec and n.  A failed
-    solve is not kept.  started, from chebyshev_sequence, is the class
-    parametrization at n and the job of its problem (None where the
-    problem was on K).
-    """
-    opts = opts or SolverOptions()
-    leading, free, job = started or (*class_parametrize(curve, spec, n), None)
-    key = _key(curve, leading, free, opts)
-    if key not in K._solves:
-        K._solves[key] = minimax_solve(leading, free, K, opts, curve=curve, spec=spec, n=n,
-                                       job=job)
-    hit = K._solves[key]
-    return hit if (hit.spec, hit.n) == (spec, n) else replace(hit, spec=spec, n=n)
+def chebyshev_solve(curve, spec, K, n, opts=None):
+    """One minimax solve for the class at parameter n: a sequence of one."""
+    return chebyshev_sequence(curve, spec, K, [n], opts)[0]
 
 
 def solves_on(K):
@@ -487,40 +479,20 @@ def solves_on(K):
     return list(K._solves.values())
 
 
-def _start_sequence(curve, spec, K, n_range, opts):
-    """{n: (leading, free, job)} for the parameters of a sequence, the job
-    None where the problem is on K already.
-
-    The problems are posed in ascending n, so the designs grow in the order
-    the solves one by one would grow them, and each (Q, f) has the same
-    bits.  Each closed-form start runs here, and minimax.dispatch shares
-    the rest with the worker processes.  Posing stops at the first
-    parameter that cannot be posed: chebyshev_solve meets its error there,
-    after the solves before it, as without the start.
-    """
-    posed, starts = {}, {}
-    try:
-        for n in n_range:
-            leading, free = class_parametrize(curve, spec, n)
-            posed[n] = leading, free, None
-            if _key(curve, leading, free, opts) not in K._solves:
-                _, Q, fp, _ = _pose(leading, free, K, curve=curve, spec=spec, n=n)
-                starts[n] = minimax.Start(Q, fp, opts.validated())
-    except Exception:   # raised again where chebyshev_solve meets it
-        pass
-    for n, job in zip(starts, minimax.dispatch(list(starts.values()))):
-        posed[n] = (*posed[n][:2], job)
-    return posed
-
-
 def chebyshev_sequence(curve, spec, K, n_range, opts=None):
-    """One solve per class parameter.
+    """One minimax solve per class parameter, each labelled with spec and n.
 
-    The problems not yet on K are started together and the uncertified ones
-    shared with worker processes (minimax.dispatch); one chebyshev_solve
-    per parameter, in order, then reads them.  The first parameter whose
-    class cannot be set up or solved raises, so no constant is estimated
-    from a sequence with a hole in it, and the jobs after it are cancelled.
+    Each parameter's class is parametrized once, and its problem (_key)
+    not yet on K is posed once, in ascending n: so the designs grow in the
+    order the solves one by one would grow them, and each (Q, f) has the
+    same bits.  Each closed-form start runs here, and minimax.dispatch
+    shares the uncertified ones with worker processes.  Then, in ascending
+    n, the first poser of a problem solves it (minimax_solve) and the
+    solve is kept on K; later posers get that solve under their own spec
+    and n.  The first parameter whose class cannot be set up or solved
+    raises, after the solves before it, so no constant is estimated from a
+    sequence with a hole in it.  A failed solve is not kept, and the jobs
+    still pending are cancelled.
     """
     n_range = list(n_range)
     if not n_range:
@@ -528,14 +500,35 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
     if any(b <= a for a, b in zip(n_range, n_range[1:])):
         raise ValueError("parameter range must be increasing")
     opts = opts or SolverOptions()
-    posed = _start_sequence(curve, spec, K, n_range, opts)
+    # posed: key -> (leading, free, _pose's pieces, Start)
+    keys, posed, error = [], {}, None
     try:
-        return [chebyshev_solve(curve, spec, K, n, opts, started=posed.get(n))
-                for n in n_range]
+        for n in n_range:
+            leading, free = class_parametrize(curve, spec, n)
+            key = _key(curve, leading, free, opts)
+            if key not in K._solves and key not in posed:
+                opts.validated()
+                design, Q, fp, build = _pose(leading, free, K, curve=curve, spec=spec, n=n)
+                posed[key] = leading, free, (design, Q, fp, build), minimax.Start(Q, fp, opts)
+            keys.append(key)
+    except Exception as exc:    # raised at its parameter, after the solves before it
+        error = exc
+    jobs = dict(zip(posed, minimax.dispatch([start for *_, start in posed.values()])))
+    try:
+        out = []
+        for n, key in zip(n_range, keys):
+            if key not in K._solves:
+                leading, free, pieces, _ = posed[key]
+                K._solves[key] = minimax_solve(leading, free, K, opts, curve=curve, spec=spec,
+                                               n=n, posed=(*pieces, jobs[key]))
+            hit = K._solves[key]
+            out.append(hit if (hit.spec, hit.n) == (spec, n) else replace(hit, spec=spec, n=n))
+        if error is not None:
+            raise error
+        return out
     finally:
-        for _, _, job in posed.values():
-            if job is not None:
-                job.cancel()
+        for job in jobs.values():
+            job.cancel()
 
 
 def tau_sequence(curve, K, basis_id, count, opts=None):

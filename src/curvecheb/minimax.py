@@ -475,17 +475,18 @@ def dispatch(starts):
     The starts iteration 1 did not certify are split between this process
     and the workers(): largest N m^2 first, each goes to the workers while
     that lowers the larger of the two shares of the time, this process
-    keeping the smallest.  The workers' share goes to the pool in the order
-    given, and this process solves its own as a caller reads the jobs in
-    that order, so both run at once.  A solve takes the same steps in a
-    worker as here, so the Solutions are the same bit for bit.
+    keeping the smallest, so a lone problem is solved here.  The workers'
+    share goes to the pool in the order given, and this process solves its
+    own as a caller reads the jobs in that order, so both run at once.  A
+    solve takes the same steps in a worker as here, so the Solutions are
+    the same bit for bit.
     """
     jobs, k = list(starts), workers()
     if k:
         open_ = sorted((i for i, s in enumerate(starts) if not s.converged),
                        key=lambda i: -starts[i].cost)
         here, share, remote = sum(starts[i].cost for i in open_), 0, []
-        for i in open_:
+        for i in open_[:-1]:
             cost = starts[i].cost
             if max(here - cost, (share + cost) / k) >= max(here, share / k):
                 break

@@ -126,9 +126,9 @@ class SampledSet:
     curve: object
     max_residual: float
     # orthonormal designs (chebyshev._design), built lazily, and the solve of
-    # each problem posed on them (chebyshev.chebyshev_solve); not part of the
-    # set's value.  A solve refers to its design, so the solves are kept here,
-    # not on the design, where they would form a reference cycle.
+    # each problem posed on them (chebyshev.chebyshev_sequence); not part of
+    # the set's value.  A solve refers to its design, so the solves are kept
+    # here, not on the design, where they would form a reference cycle.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

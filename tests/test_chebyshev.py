@@ -38,7 +38,7 @@ from curvecheb.chebyshev import (
     solves_on,
     tau_sequence,
 )
-from curvecheb.verify import comparison_report
+from curvecheb.verify import comparison_report, verify_report
 
 Z1 = BivarPoly.monomial(1, 0)
 Z2 = BivarPoly.monomial(0, 1)
@@ -983,13 +983,23 @@ class TestSweep:
         assert solves == [2, 2]
         assert len(solves_on(K)) == len(solves_on(again)) == 1
 
-    def test_failed_solve_is_not_kept(self, hyp, solves):
+    def test_failed_solve_is_not_kept(self, hyp, solves, monkeypatch):
+        posed, real = [], chebyshev._pose
+
+        def counting(*args, **kwargs):
+            posed.append(kwargs["n"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chebyshev, "_pose", counting)
         K = sample(hyp, Z1Disk(1.0, resolution=16))
         for _ in range(2):
             # the 31 points cannot carry the 39 free elements at n = 20
             with pytest.raises(ValueError, match="must not exceed the sample"):
                 chebyshev_sequence(hyp, Zk(0), K, [1, 20])
-        assert solves == [1, 20, 20]
+        # n = 20 fails where it is posed, before its solve, and each
+        # sequence poses it again
+        assert posed == [1, 20, 20]
+        assert solves == [1]
         assert [s.n for s in solves_on(K)] == [1]
 
     def test_classes_posing_one_problem_share_a_solve(self, hyp, K, solves):
@@ -1051,3 +1061,81 @@ class TestSweep:
         for spec in specs:
             chebyshev_solve(hyp, spec, K, 3)
         assert solves == [3, 3]
+
+
+class TestOnePath:
+    """chebyshev_sequence is the one path from a class to a kept solve: it
+    parametrizes each class and poses each problem once, and chebyshev_solve
+    is a sequence of one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(function, class parameter) of every class_parametrize, _pose and
+        minimax_solve call, in call order."""
+        out = []
+
+        def counted(name, real):
+            def counting(*args, **kwargs):
+                out.append((name, kwargs["n"] if "n" in kwargs else args[2]))
+                return real(*args, **kwargs)
+            return counting
+
+        for name in ("class_parametrize", "_pose", "minimax_solve"):
+            monkeypatch.setattr(chebyshev, name, counted(name, getattr(chebyshev, name)))
+        return out
+
+    @staticmethod
+    def made(calls, name):
+        return [n for f, n in calls if f == name]
+
+    def test_verify_poses_each_kept_solve_once(self, hyp, calls):
+        K = sample(hyp, AbsV1V2Torus(0.5, 0.5, resolution=512))
+        verify_report(hyp, K, 10)
+        kept = len(solves_on(K))
+        assert kept > 0
+        assert len(self.made(calls, "_pose")) == len(self.made(calls, "minimax_solve")) == kept
+
+    def test_sequence_poses_each_kept_solve_once(self, cubic7, calls):
+        K = sample(cubic7, Z1Disk(1.2, resolution=1024))
+        seq = chebyshev_sequence(cubic7, Zk(1), K, range(1, 12), SolverOptions(max_iter=300))
+        assert [s.n for s in solves_on(K)] == [s.n for s in seq] == list(range(1, 12))
+        for name in ("class_parametrize", "_pose", "minimax_solve"):
+            assert self.made(calls, name) == list(range(1, 12)), name
+
+    @pytest.mark.parametrize("make_spec, n", [(lambda c: MQ(c.dirbasis[0]), 5),
+                                              (lambda c: Zk(1), 6),
+                                              (lambda c: Tau(BASIS_C), 9)])
+    def test_new_problem_solves_as_a_sequence_of_one(self, cubic7, calls, make_spec, n):
+        desc, spec = Z1Disk(1.2, resolution=512), make_spec(cubic7)
+        ref = chebyshev_sequence(cubic7, spec, sample(cubic7, desc), [n])[0]
+        del calls[:]
+        s = chebyshev_solve(cubic7, spec, sample(cubic7, desc), n)
+        assert calls == [("class_parametrize", n), ("_pose", n), ("minimax_solve", n)]
+        assert s.parts[2].tobytes() == ref.parts[2].tobytes()
+        assert (s.spec, s.n, s.norm, s.gap, s.iterations, s.converged) == \
+            (ref.spec, ref.n, ref.norm, ref.gap, ref.iterations, ref.converged)
+
+    def test_problem_on_k_is_a_relabelled_copy(self, hyp, calls):
+        # Tau(S) at position 6 is z1^3 on the hyperbola, Zk(0) at n = 3
+        K = sample(hyp, AbsV1V2Torus(0.5, 0.5, resolution=256))
+        z = chebyshev_solve(hyp, Zk(0), K, 3)
+        del calls[:]
+        t = chebyshev_solve(hyp, Tau(BASIS_S), K, 6)
+        assert calls == [("class_parametrize", 6)]
+        assert t is not z and solves_on(K) == [z]
+        assert (t.spec, t.n, z.spec, z.n) == (Tau(BASIS_S), 6, Zk(0), 3)
+        assert (t.norm, t.gap, t.iterations, t.total_degree) == \
+            (z.norm, z.gap, z.iterations, z.total_degree)
+
+    @pytest.mark.parametrize("make_spec, n, message", [
+        (lambda c: Zk(0), 0, "class parameter must be >= 1"),
+        # v2 v1 is constant on the hyperbola, so v2 v1^n has degree n - 1
+        (lambda c: MRQ(c.dirbasis[1], c.dirbasis[0]), 2,
+         "leading term loses degree in the coordinate ring")])
+    def test_class_error_is_raised_as_is(self, hyp, calls, make_spec, n, message):
+        K = sample(hyp, AbsV1V2Torus(0.5, 0.5, resolution=256))
+        with pytest.raises(ClassSpecError) as raised:
+            chebyshev_solve(hyp, make_spec(hyp), K, n)
+        assert type(raised.value) is ClassSpecError and str(raised.value) == message
+        assert calls == [("class_parametrize", n)]
+        assert solves_on(K) == []

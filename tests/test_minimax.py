@@ -194,6 +194,24 @@ def fingerprint(u, norm, lb, iterations, converged):
             bool(converged)]
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_dispatch_keeps_the_smallest_problem_here(monkeypatch, count):
+    # however many workers there are, this process solves the smallest
+    # uncertified problem itself, so a lone problem is never sent
+    rng = np.random.default_rng(count)
+    starts = []
+    for m in range(count, 0, -1):
+        Q, _ = np.linalg.qr(rng.normal(size=(200, m)) + 1j * rng.normal(size=(200, m)))
+        f = rng.normal(size=200) + 1j * rng.normal(size=200)
+        starts.append(minimax.Start(Q, f - Q @ (Q.conj().T @ f), OPTS))
+    assert not any(s.converged for s in starts)
+    monkeypatch.setattr(minimax, "workers", lambda: 8)
+    monkeypatch.setattr(minimax, "_submit", lambda start, workers: ("sent", start))
+    jobs = minimax.dispatch(starts)
+    assert jobs[-1] is starts[-1]
+    assert jobs[:-1] == [("sent", s) for s in starts[:-1]]
+
+
 def sequence_cases():
     """(name, curve, set, class, parameters) of the sequences compared."""
     hyp, cubic = hyperbola(), random_valid_curve(3, seed=7)
