@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import polyring, sets
+from . import minimax, polyring, sets
 from .polyring import (BASIS_C, BASIS_S, BivarPoly, CurveError, basis_through_degree,
                        curve_new, poly_from_records)
 from .sets import (
@@ -462,6 +462,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     flags = {"n_max": args.n_max, "resolution": args.resolution, "relaxed": args.relaxed}
+    setter, getter = minimax.blas_threads() or (lambda count: None, lambda: None)
+    before = getter()
+    setter(1)       # the bits of every solve follow OpenBLAS's thread count
     try:
         # the flags given replace the config keys of the same name
         doc = _load(args.config) | {k: v for k, v in flags.items() if v is not None}
@@ -500,6 +503,8 @@ def main(argv=None):
     except (ConfigError, CurveError, SamplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        setter(before)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ solve is Start(Q, f, opts).result(): a Start is the scaled problem after
 its iteration 1 (_start), and result() runs the interior-point loop.
 dispatch shares the Starts that iteration 1 did not certify between this
 process and worker processes forked from it (workers(): Linux, BLAS at
-one thread, a CPU each).  A worker takes the same steps on the same
-values, so a Solution is the same bit for bit wherever it was solved.
+one thread, as the CLI pins it, a CPU each).  A worker takes the same
+steps on the same values, so a Solution is the same bit for bit either way.
 
 This module needs numpy and the standard library only: it poses nothing,
 so a (Q, f) pair can be solved, and timed, without a curve or a design.
@@ -37,12 +37,14 @@ so a (Q, f) pair can be solved, and timed, without a curve or a design.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import math
 import numbers
 import os
+import signal
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -452,19 +454,35 @@ def solve(Q, f, opts):
 # Worker processes
 # ---------------------------------------------------------------------------
 
-# the variables OpenBLAS reads its thread count from, the first one set first
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# OpenBLAS's thread count setter and getter ({}: set, get) in numpy 2's, 1's and system builds
+BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                       "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 _POOL = None            # the worker processes, started on first need
+
+
+@cache
+def blas_threads():
+    """(set, get) of numpy's OpenBLAS thread count, looked up once, or None."""
+    try:    # a library's handle finds the symbols of the libraries it links too
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in BLAS_THREAD_SYMBOLS:
+        setter, getter = (getattr(lib, name.format(verb), None) for verb in ("set", "get"))
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype, getter.argtypes = [ctypes.c_int], None, []
+            return setter, getter
+    return None
 
 
 def workers():
     """The worker processes dispatch shares solves with: one per usable CPU
-    beyond this process, on Linux where BLAS runs one thread per process
-    (OPENBLAS_NUM_THREADS=1).  Elsewhere 0, and every solve runs in
-    process: with two OpenBLAS threads per process, one worker made the
-    criterion-4 cubic solves 2 to 12 times slower on two CPUs."""
-    threads = next((v for v in map(os.environ.get, BLAS_THREAD_VARS) if v), None)
-    if sys.platform != "linux" or threads != "1":
+    beyond this process, on Linux where numpy's OpenBLAS runs one thread,
+    as the CLI sets it.  Elsewhere, or with no getter found, 0, and every
+    solve runs in process: with two OpenBLAS threads per process, one
+    worker made the criterion-4 cubic solves 2 to 12 times slower."""
+    blas = blas_threads()
+    if sys.platform != "linux" or blas is None or blas[1]() != 1:
         return 0
     return len(os.sched_getaffinity(0)) - 1
 
@@ -530,9 +548,6 @@ def _shutdown():
 def _exit_with(parent):
     """Worker initializer: the kernel kills this worker when the parent ends,
     even where a signal skips the pool's shutdown at exit."""
-    import ctypes
-    import signal
-
     ctypes.CDLL(None).prctl(1, signal.SIGKILL)      # PR_SET_PDEATHSIG
     if os.getppid() != parent:      # the parent ended before that took hold
         os._exit(0)

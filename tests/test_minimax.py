@@ -171,14 +171,24 @@ def test_kernel_imports_no_curvecheb_module():
 # Worker processes
 # ---------------------------------------------------------------------------
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(blas_threads):
+    """This environment with this directory importable and every BLAS thread
+    variable set to blas_threads, or unset where that is None."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_VARS, blas_threads))
+    return dict(env, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+
+
 def child(code, blas_threads="1", timeout=300):
     """The JSON of the last stdout line of `code` run in a child interpreter
     at that many BLAS threads, with this directory importable."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
-               MKL_NUM_THREADS=blas_threads,
-               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
-                         capture_output=True, text=True, timeout=timeout)
+    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent,
+                         env=child_env(blas_threads), capture_output=True, text=True,
+                         timeout=timeout)
     assert run.returncode == 0, run.stderr[-2000:]
     return json.loads(run.stdout.splitlines()[-1])
 
@@ -408,16 +418,111 @@ class TestWorkerFailures:
         assert out["recovered"] == [True] * 11
 
 
+@pytest.fixture
+def torus_config(tmp_path):
+    return write_config(tmp_path / "torus.json", hyperbola(),
+                        {"kind": "absv1v2torus", "r1": 0.5, "r2": 0.5},
+                        resolution=512, n_max=10)
+
+
 @needs_workers
-def test_no_worker_outlives_its_interpreter(tmp_path):
-    config = write_config(tmp_path / "torus.json", hyperbola(),
-                          {"kind": "absv1v2torus", "r1": 0.5, "r2": 0.5},
-                          resolution=512, n_max=10)
+def test_no_worker_outlives_its_interpreter(torus_config):
     out = child("import json, multiprocessing; from curvecheb import cli; "
-                f"rc = cli.main(['verify', '--config', {config!r}]); "
+                f"rc = cli.main(['verify', '--config', {torus_config!r}]); "
                 "print(json.dumps({'rc': rc, "
                 "'pids': [p.pid for p in multiprocessing.active_children()]}))")
     assert out["rc"] == 0 and out["pids"]
     for pid in out["pids"]:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# ---------------------------------------------------------------------------
+# The CLI's BLAS thread pin
+# ---------------------------------------------------------------------------
+
+needs_blas_setter = pytest.mark.skipif(
+    minimax.blas_threads() is None,
+    reason="numpy's BLAS exports none of minimax.BLAS_THREAD_SYMBOLS, so nothing is pinned")
+
+
+def cli_outputs(config, out, blas_threads):
+    """stdout and the files of `curvecheb verify` and of `curvecheb cheb` of
+    Zk(1) on config, each run in a child process at that many BLAS threads
+    (unset where None).  The torus cheb table's bits follow the thread
+    count: at two threads they differ."""
+    outputs = []
+    for argv, files in ((["verify"], ("verify_report.txt", "verify_table.tsv")),
+                        (["cheb", "--class", "zk:1"], ("cheb_table.tsv",))):
+        run = subprocess.run([sys.executable, "-m", "curvecheb.cli", *argv, "--config", config,
+                              "--out", str(out)], env=child_env(blas_threads),
+                             capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+        outputs += [run.stdout] + [(out / name).read_bytes() for name in files]
+    return outputs
+
+
+@needs_blas_setter
+def test_cli_pin_overrides_the_environment(tmp_path, torus_config):
+    pinned = cli_outputs(torus_config, tmp_path / "one", "1")
+    assert cli_outputs(torus_config, tmp_path / "unset", None) == pinned
+    assert cli_outputs(torus_config, tmp_path / "two", "2") == pinned
+
+
+PIN_SCOPE = """
+import json
+import curvecheb, curvecheb.cli
+from curvecheb import cli, minimax
+
+setter, getter = minimax.blas_threads()
+out = {{"imported": [getter(), minimax.workers()], "during": []}}
+real_dispatch = minimax.dispatch
+
+def dispatch(starts):
+    out["during"].append([getter(), minimax.workers()])
+    return real_dispatch(starts)
+
+minimax.dispatch = dispatch
+out["rc"] = cli.main(["verify", "--config", {config!r}])
+out["after"] = [getter(), minimax.workers()]
+setter(1)
+out["set"] = [getter(), minimax.workers()]
+print(json.dumps(out))
+"""
+
+
+@needs_blas_setter
+@pytest.mark.skipif(sys.platform != "linux", reason="worker processes run on Linux only")
+def test_pin_stays_with_the_cli(torus_config):
+    out = child(PIN_SCOPE.format(config=torus_config), blas_threads="2")
+    others = len(os.sched_getaffinity(0)) - 1
+    # importing the package leaves the caller's count, and with it no workers
+    assert out["imported"] == [2, 0]
+    # the CLI runs at one thread, with the workers, and gives the count back
+    assert out["rc"] == 0
+    assert out["during"] and all(d == [1, others] for d in out["during"])
+    assert out["after"] == [2, 0]
+    assert out["set"] == [1, others]
+
+
+def blas_lookup_fails(config, out):
+    """`curvecheb cheb` of Zk(1) on config with minimax.blas_threads finding
+    nothing, then found: the exit codes, the workers and whether a pool
+    ran at the first, and whether the two tables are the same bytes."""
+    real = minimax.blas_threads
+    minimax.blas_threads = lambda: None
+    argv = ["cheb", "--config", config, "--class", "zk:1", "--out"]
+    result = {"rc": cli.main(argv + [f"{out}/soft"]), "workers": minimax.workers(),
+              "pool": minimax._POOL is not None}
+    minimax.blas_threads = real
+    result["rc_found"] = cli.main(argv + [f"{out}/found"])
+    result["same"] = (Path(out, "soft", "cheb_table.tsv").read_bytes()
+                      == Path(out, "found", "cheb_table.tsv").read_bytes())
+    return result
+
+
+def test_cli_runs_in_process_where_no_blas_setter_is_found(tmp_path, torus_config):
+    # one BLAS thread from the environment, so both runs take the same steps
+    out = child(f"import json, test_minimax; print(json.dumps("
+                f"test_minimax.blas_lookup_fails({torus_config!r}, {str(tmp_path)!r})))")
+    assert out == {"rc": 0, "workers": 0, "pool": False, "rc_found": 0, "same": True}
