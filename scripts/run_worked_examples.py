@@ -77,7 +77,7 @@ def main():
             pts = np.stack([ts, 0.25 / ts], axis=1)
         else:
             pts = probe_points(curve, [1.5, 2.2, 3.5], 50)
-        rep = vk_max(curve, K, args.n_max, pts, opts, robin=rob)
+        rep = vk_max(curve, K, args.n_max, pts, opts)
         gap = rep.gap_families if rep.gap_families is not None else float("nan")
         print(f"  extremal families max vs {closed_form}: sup gap {gap:.4f}")
         print(f"  ({time.time() - t0:.1f}s)")

@@ -414,46 +414,31 @@ def _design(curve, K, basis_id):
     return K._cache.setdefault((id(curve), basis_id), _Design(curve, K.points, basis_id))
 
 
-def _pose(leading, free_basis, K, *, curve, spec, n):
-    """The problem of minimax_solve's arguments on K: its design, the
-    columns Q of the free basis and the leading residual's (values,
-    polynomial builder)."""
+def _pose(free_basis, K, *, curve, spec, n):
+    """The problem of the class spec at parameter n on K, free_basis the
+    graded basis prefix class_parametrize gave (an empty one is posed on
+    the S design): its design, the columns Q of the free basis and the
+    leading residual's (values, polynomial builder)."""
     npts, m = len(K.points), len(free_basis)
     if m > npts:
         raise SampleTooSmall(f"free basis ({m}) must not exceed the sample ({npts})")
-
-    basis_id = free_basis[0].basis_id if free_basis else BASIS_S
-    if [(el.basis_id, el.index) for el in free_basis] != [(basis_id, i + 1) for i in range(m)]:
-        raise ValueError("free basis must be a graded basis prefix")
-    design = _design(curve, K, basis_id)
-    Q = design.columns(m)
-    fp, build = (design.read(design.project(leading, None, Q)[0]) if spec is None
-                 else spec.leading_residual(curve, n, K))
-    return design, Q, fp, build
+    design = _design(curve, K, free_basis[0].basis_id if free_basis else BASIS_S)
+    return (design, design.columns(m), *spec.leading_residual(curve, n, K))
 
 
-def minimax_solve(leading, free_basis, K, opts=None, *, curve, spec=None, n=None, posed=None):
-    """Chebyshev polynomial of the affine family leading + span(free_basis).
-
-    leading is a BivarPoly in normal form on curve, K a sample of it, and
-    free_basis a graded basis prefix (an empty one is posed on the S design).
-    The leading residual and total degree are the class spec's at parameter
-    n, or without a spec leading projected and its degree.  posed, from
-    chebyshev_sequence, is the problem as _pose gave it and its job
-    (minimax.dispatch); without it the problem is posed and started here.
-    The ChebSolve's tn is norm ** (1/total_degree).
+def minimax_solve(leading, free_basis, K, *, curve, spec, n, posed):
+    """The ChebSolve of the class spec at parameter n, whose leading term
+    and free basis class_parametrize gave: it waits for the job of the
+    problem chebyshev_sequence posed, posed = (_pose's pieces, job), and
+    labels its Solution.  tn is norm ** (1/total_degree).  Called once per
+    solve, with this call shape: perfbench/spans.py reads free_basis and K
+    as positional arguments and spec as a keyword.
     """
-    opts = (opts or SolverOptions()).validated()
-    if posed is None:
-        design, Q, fp, build = _pose(leading, free_basis, K, curve=curve, spec=spec, n=n)
-        job = minimax.Start(Q, fp, opts)
-    else:
-        design, Q, fp, build, job = posed
+    design, Q, _, build, job = posed
     sol = job.result()
-
-    total_degree = int(leading.degree) if spec is None else spec.degree(curve, n)
+    total_degree = spec.degree(curve, n)
     tn = sol.norm ** (1.0 / total_degree) if total_degree > 0 else float("nan")
-    return ChebSolve(spec=spec, n=n if n is not None else 0, total_degree=total_degree,
+    return ChebSolve(spec=spec, n=n, total_degree=total_degree,
                      norm=sol.norm, tn=tn, iterations=sol.iterations, converged=sol.converged,
                      ridge_used=Q.shape[1] < len(free_basis), gap=sol.gap,
                      parts=(build, design.combine, sol.u))
@@ -507,8 +492,7 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
             leading, free = class_parametrize(curve, spec, n)
             key = _key(curve, leading, free, opts)
             if key not in K._solves and key not in posed:
-                opts.validated()
-                design, Q, fp, build = _pose(leading, free, K, curve=curve, spec=spec, n=n)
+                design, Q, fp, build = _pose(free, K, curve=curve, spec=spec, n=n)
                 posed[key] = leading, free, (design, Q, fp, build), minimax.Start(Q, fp, opts)
             keys.append(key)
     except Exception as exc:    # raised at its parameter, after the solves before it
@@ -519,8 +503,8 @@ def chebyshev_sequence(curve, spec, K, n_range, opts=None):
         for n, key in zip(n_range, keys):
             if key not in K._solves:
                 leading, free, pieces, _ = posed[key]
-                K._solves[key] = minimax_solve(leading, free, K, opts, curve=curve, spec=spec,
-                                               n=n, posed=(*pieces, jobs[key]))
+                K._solves[key] = minimax_solve(leading, free, K, curve=curve, spec=spec, n=n,
+                                               posed=(*pieces, jobs[key]))
             hit = K._solves[key]
             out.append(hit if (hit.spec, hit.n) == (spec, n) else replace(hit, spec=spec, n=n))
         if error is not None:

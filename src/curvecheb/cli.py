@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +133,8 @@ KEYS = {
     "set.resolution": (_RESOLUTION, None),   # None: the top-level one
     "resolution": (_RESOLUTION, 1024),
     "n_max": (_count(1, MAX_N), 8),
-    "solver.max_iter": (_count(1), 500),
-    "solver.tol": (_real(positive=True), 1e-8),
+    "solver.max_iter": (_count(1), SolverOptions.max_iter),
+    "solver.tol": (_real(positive=True), SolverOptions.tol),
     "out_dir": (_exact(str), None),
     "relaxed": (_exact(bool, True, False), False),
     "directions": (_labels, None),           # labels for relaxed-mode Robin constants
@@ -173,12 +173,12 @@ def _load(path):
 class RunConfig:
     curve_terms: list
     set_spec: dict          # the set entry as read: kind, its keys and resolution
-    resolution: int = 1024
-    n_max: int = 8
-    solver: SolverOptions = field(default_factory=SolverOptions)
-    out_dir: str | None = None
-    relaxed: bool = False
-    directions: list | None = None   # complex labels (None where unlabelled)
+    resolution: int
+    n_max: int
+    solver: SolverOptions
+    out_dir: str | None
+    relaxed: bool
+    directions: list | None     # complex labels (None where unlabelled)
 
     @classmethod
     def from_file(cls, path):

@@ -187,17 +187,16 @@ class VkMaxReport:
     max_families: np.ndarray
     oracle: np.ndarray | None
     gap_families: float | None
-    tilde_hypothesis_met: bool
 
 
-def vk_max(curve, K, n, pts, opts=None, robin=None):
+def vk_max(curve, K, n, pts, opts=None):
     """Pointwise maxima of both families at total degree n.
 
     When the set's descriptor has a registered closed form the sup gap of
     the maximum over both families against it is reported.  The
-    ordered-family max is always computed; when the Robin constants are not
-    strictly increasing it is flagged (the max formula for that family
-    assumes strict ordering).
+    ordered-family max is always computed, though its max formula assumes
+    strictly increasing Robin constants (RobinReport.strict says whether
+    they are).
     """
     d = curve.d
     pts = np.asarray(pts, dtype=complex)
@@ -220,7 +219,6 @@ def vk_max(curve, K, n, pts, opts=None, robin=None):
         pass
     if oracle is not None:
         ga = float(np.max(np.abs(max_all - oracle)))
-    strict = robin.strict if robin is not None else False
     return VkMaxReport(
         pts=pts,
         max_vk=max_vk,
@@ -228,7 +226,6 @@ def vk_max(curve, K, n, pts, opts=None, robin=None):
         max_families=max_all,
         oracle=oracle,
         gap_families=ga,
-        tilde_hypothesis_met=strict,
     )
 
 

@@ -54,14 +54,15 @@ import numpy as np
 class SolverOptions:
     """max_iter caps the interior-point iterations of a solve, the
     closed-form first one included; tol is the relative certified gap a
-    converged solve must reach."""
+    converged solve must reach.  Options are checked when made (so by
+    dataclasses.replace too): a bad field raises a ValueError naming it.
+    A bool is neither a count nor a tolerance, though Python counts it as
+    both."""
 
     max_iter: int = 500
     tol: float = 1e-8
 
-    def validated(self):
-        """self, or a ValueError naming the first bad field.  A bool is
-        neither a count nor a tolerance, though Python counts it as both."""
+    def __post_init__(self):
         max_iter, tol = self.max_iter, self.tol
         if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral)
                                                and max_iter >= 1):
@@ -70,7 +71,6 @@ class SolverOptions:
             raise ValueError(f"tol must be a number, not {tol!r}")
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be positive and finite, not {tol!r}")
-        return self
 
 
 # A vector of the product of N second-order cones {u0 >= |u1|}, one cone per

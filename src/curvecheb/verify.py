@@ -206,7 +206,7 @@ def verify_report(curve, K, n_max, opts=None, tol_scale=1.0, directions=None):
     try:
         pts = probe_points(curve, PROBE_RADII, PROBE_COUNT)
         oracle_eval(K.descriptor, pts, curve=curve)
-        rep = vk_max(curve, K, n_max, pts, opts, robin=robin)
+        rep = vk_max(curve, K, n_max, pts, opts)
         asserts.append(_assert_le("families max matches the closed form",
                                   rep.gap_families, limit_slack, 0.0))
     except OracleError:

@@ -130,7 +130,7 @@ def test_criterion_02_symmetric_torus_exactness(hyp, torus_set):
     worst_rho = max(abs(e.rho - math.log(2.0)) for e in rep.per_direction)
     pts = probe_points(hyp, [1.3, 1.9, 3.1], 50)
     assert len(pts) >= 50 - 2
-    vrep = vk_max(hyp, torus_set, 8, pts, robin=rep)
+    vrep = vk_max(hyp, torus_set, 8, pts)
     want = np.maximum(
         np.maximum(0.0, np.log(np.abs(pts[:, 0] - pts[:, 1]))),
         np.maximum(0.0, np.log(np.abs(pts[:, 0] + pts[:, 1]))),

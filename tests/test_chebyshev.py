@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ from curvecheb.polyring import (
     parent_rule,
     pow_mod,
 )
-from curvecheb.sets import PointCloud
+from curvecheb.sets import PointCloud, SampleTooSmall
 from curvecheb.chebyshev import (
     MQ,
     MRQ,
@@ -34,7 +35,6 @@ from curvecheb.chebyshev import (
     class_parametrize,
     constant_estimate,
     descending_direction_order,
-    minimax_solve,
     solves_on,
     tau_sequence,
 )
@@ -165,22 +165,17 @@ class TestMinimaxSolve:
             assert s.tn == pytest.approx(0.5, abs=1e-6)
 
     def test_single_interpolation_point(self, hyp):
+        # z1 with the constant free: one point is interpolated exactly
         K = sample(hyp, PointCloud(points=((np.sqrt(2) + 0j, 1.0 + 0j),)))
-        leading, _ = class_parametrize(hyp, Zk(0), 2)
-        free = basis_through_degree(hyp, BASIS_S, 0)
-        s = minimax_solve(leading, free, K, curve=hyp)
+        s = chebyshev_solve(hyp, Zk(0), K, 1)
         assert s.norm == pytest.approx(0.0, abs=1e-12)
+        assert s.converged and s.iterations == 1
 
     def test_free_basis_must_fit(self, hyp):
         K = sample(hyp, PointCloud(points=((np.sqrt(2) + 0j, 1.0 + 0j),)))
-        leading, free = class_parametrize(hyp, Zk(0), 3)
-        with pytest.raises(ValueError, match="free basis"):
-            minimax_solve(leading, free, K, curve=hyp)
-        # the design holds basis prefixes only
-        K4 = sample(hyp, PointCloud(points=tuple((a * np.sqrt(2) + 0j, b + 0j)
-                                                for a in (1, -1) for b in (1, -1))))
-        with pytest.raises(ValueError, match="graded basis prefix"):
-            minimax_solve(leading, free[1:], K4, curve=hyp)
+        with pytest.raises(SampleTooSmall,
+                           match=r"free basis \(5\) must not exceed the sample \(1\)"):
+            chebyshev_solve(hyp, Zk(0), K, 3)
 
     def test_leading_coefficient_is_exactly_one(self, hyp, interval_set):
         s = chebyshev_solve(hyp, Zk(0), interval_set, 5)
@@ -238,9 +233,9 @@ class TestMinimaxSolve:
         # of z1 z2 is linearly dependent on K
         K = sample(hyp, PointCloud(points=tuple((a * np.sqrt(2) + 0j, b + 0j)
                                                for a in (1, -1) for b in (1, -1))))
-        leading, free = class_parametrize(hyp, Zk(1), 1)
+        _, free = class_parametrize(hyp, Zk(1), 1)
         assert [b.label for b in free][-1] == "z1^2*z2^0"
-        s = minimax_solve(leading, free, K, curve=hyp)
+        s = chebyshev_solve(hyp, Zk(1), K, 1)
         assert s.ridge_used
         assert np.isfinite(s.norm)
         # z1 z2 is +-sqrt(2) and orthogonal on K to 1, z1 and z2
@@ -391,26 +386,26 @@ def _terms(p):
 
 def _replay_case(name, hyp, cubic7):
     """(curve, set, basis, residual count, chains (prefactor, Q, n), class
-    solves (spec, n), spec-less solves (spec, n) posed through
-    minimax_solve) of each design the replay is checked on."""
+    solves (spec, n)) of each design the replay is checked on."""
     z2z1 = (Z2, Z1, 6)
     if name in ("torus", "interval"):
         desc = (AbsV1V2Torus(0.5, 0.5, resolution=256) if name == "torus"
                 else Z2Interval(-1.0, 1.0, resolution=256))
         v1 = hyp.dirbasis[0]
         return (hyp, desc, BASIS_S, 30, [(BivarPoly.constant(1.0), v1, 8), z2z1],
-                [(Zk(1), 5), (MQ(v1), 6), (MRQ(Z2, Z1), 4)], [(Zk(0), 5), (MQ(v1), 3)])
+                [(Zk(1), 5), (MQ(v1), 6), (MRQ(Z2, Z1), 4), (Zk(0), 5), (MQ(v1), 3)])
     if name == "cubic7-S":
         v1 = cubic7.dirbasis[0]
         return (cubic7, Z1Disk(1.2, resolution=256), BASIS_S, 30,
                 [(BivarPoly.constant(1.0), v1, 5), (Z1, cubic7.dirbasis[1], 4), z2z1],
-                [(Zk(2), 4), (MQ(v1), 5), (Mz1jVk(1, 2), 3)], [(Zk(1), 6)])
+                [(Zk(2), 4), (MQ(v1), 5), (Mz1jVk(1, 2), 3), (Zk(1), 6)])
     if name == "cubic7-C":
         return (cubic7, Z1Disk(1.2, resolution=256), BASIS_C, 30, [],
-                [(Tau(BASIS_C), 12), (Tau(BASIS_C), 20), (TildeMl(0, 2), 3)], [])
-    # z1^2 = 2 on these four points: the design drops the column of z1^2
+                [(Tau(BASIS_C), 12), (Tau(BASIS_C), 20), (TildeMl(0, 2), 3)])
+    # z1^2 = 2 on these four points: the design drops the column of z1^2,
+    # and Zk(1) at 1 reads the residual of element 5, z1 z2
     K = PointCloud(points=tuple((a * np.sqrt(2) + 0j, b + 0j) for a in (1, -1) for b in (1, -1)))
-    return hyp, K, BASIS_S, 4, [(Z2, Z1, 1)], [], [(Zk(1), 1)]
+    return hyp, K, BASIS_S, 5, [(Z2, Z1, 1)], [(Zk(1), 1)]
 
 
 class TestReplay:
@@ -421,7 +416,7 @@ class TestReplay:
     @pytest.mark.parametrize("name", ["torus", "interval", "cubic7-S", "cubic7-C",
                                       "rank-deficient"])
     def test_replay_matches_lockstep(self, hyp, cubic7, name):
-        curve, desc, basis_id, count, chains, solves, specless = _replay_case(name, hyp, cubic7)
+        curve, desc, basis_id, count, chains, solves = _replay_case(name, hyp, cubic7)
         K = sample(curve, desc)
         design = chebyshev._design(curve, K, basis_id)
         ref = _LockstepDesign(curve, K.points, basis_id)
@@ -434,12 +429,6 @@ class TestReplay:
                 b, index = spec.position(curve, n)
                 assert b == basis_id
                 lead = ref.residual(index)[1]
-            want = _lockstep_combine(lead, ref.polys, s.parts[2])
-            assert _terms(s.minimizer) == _terms(want), (spec, n)
-        for spec, n in specless:
-            leading, free = class_parametrize(curve, spec, n)
-            s = minimax_solve(leading, free, K, curve=curve)
-            _, lead = ref.project(leading(K.z1, K.z2), leading, len(free))
             want = _lockstep_combine(lead, ref.polys, s.parts[2])
             assert _terms(s.minimizer) == _terms(want), (spec, n)
         for prefactor, q, top in chains:
@@ -701,8 +690,9 @@ class TestNewtonFactor:
         {"tol": 0.0},
     ])
     def test_bad_solver_options_rejected(self, kwargs):
+        # when made: no solve can start from them
         with pytest.raises(ValueError):
-            SolverOptions(**kwargs).validated()
+            SolverOptions(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": True}, {"max_iter": False}, {"max_iter": "300"}, {"tol": True},
@@ -712,11 +702,15 @@ class TestNewtonFactor:
         # Python counts True as 1, but a bool is neither a count nor a tolerance
         (field, _), = kwargs.items()
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            SolverOptions(**kwargs).validated()
+            SolverOptions(**kwargs)
+
+    def test_replaced_solver_options_are_checked(self):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            dataclasses.replace(SolverOptions(), tol=float("nan"))
 
     def test_numpy_scalar_solver_options_accepted(self):
         opts = SolverOptions(max_iter=np.int64(300), tol=np.float64(1e-9))
-        assert opts.validated() is opts
+        assert (opts.max_iter, opts.tol) == (300, 1e-9)
 
 
 def _solve_fg(f, G, opts=None):

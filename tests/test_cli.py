@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from curvecheb import chebyshev, cli
 from curvecheb.cli import main
+from curvecheb.gallery import random_valid_curve
+from curvecheb.polyring import curve_records
 
 
 HYPERBOLA_TERMS = [{"a": 2, "b": 0, "re": 1.0, "im": 0.0},
@@ -405,6 +407,25 @@ class TestVerify:
         assert "strictly increasing\ttrue" in lines
         rhos = [float(l.split("\t")[1]) for l in lines[1:3]]
         assert rhos == pytest.approx([0.0, np.log(4.0)], abs=1e-8)
+
+    def test_cubic_interval_fails_only_its_truncation_rows(self, capsys, tmp_path):
+        # cubic seed 7 on the z2-interval: d = 3 with untied directional
+        # constants.  Three rows fail until the constants are extrapolated
+        # in the degree (ROADMAP item 3); every solve converges
+        cfg = write_config(tmp_path / "cubic_interval.json",
+                           curve={"terms": curve_records(random_valid_curve(3, 7).defining)},
+                           set={"kind": "z2interval", "lo": -1.0, "hi": 1.0},
+                           resolution=1024, n_max=12, solver={"max_iter": 300})
+        out = tmp_path / "rep"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        report = [line.split("\t") for line in
+                  (out / "verify_report.txt").read_text().splitlines()]
+        assert report[-1][:4] == ["total", "71", "failed", "3"]
+        assert [row[0] for row in report[1:-1] if row[-1] == "FAIL"] == [
+            "S-ordering constant 0 matches direction constant rank 1",
+            "first S-ordering constant equals the largest directional constant",
+            "S-ordering constants non-increasing at 2"]
+        assert self._health(capsys.readouterr().out)[1] == 0
 
     def test_zero_tolerance_negative_control(self, tmp_path, torus_config):
         assert main(["verify", "--config", torus_config, "--n-max", "6",

@@ -1,13 +1,15 @@
 """Module imports, and the names that perfbench looks up by name.
 
 perfbench/spans.py traces the functions of its TRACED table by looking
-each up on curvecheb.<home>, and perfbench/setup_probe.py calls
-cli.RunConfig.from_file; a name moved or dropped would otherwise show only
-when the bench runs.
+each up on curvecheb.<home>, and reads the arguments of minimax_solve by
+position and keyword; perfbench/setup_probe.py calls
+cli.RunConfig.from_file.  A name moved or dropped, or a call shape
+changed, would otherwise show only when the bench runs.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -38,6 +40,15 @@ def test_bench_names_resolve():
                if not callable(getattr(importlib.import_module(f"curvecheb.{home}"), name, None))]
     assert not missing
     assert callable(RunConfig.from_file)
+
+
+def test_minimax_solve_call_shape():
+    # spans.py's _solve_info reads free_basis and K as args[1] and args[2],
+    # and spec from the keywords
+    params = list(inspect.signature(chebyshev.minimax_solve).parameters.values())
+    assert [(p.name, p.kind) for p in params[:3]] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in ("leading", "free_basis", "K")]
+    assert {p.name: p.kind for p in params[3:]}["spec"] is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_comparison_report_alias_is_the_verify_function():
